@@ -3,7 +3,8 @@
 Every figure/table bench regenerates its paper artifact end-to-end at a
 reduced scale (``BENCH_DAYS`` of synthetic workload, fixed seed) so the
 suite finishes in minutes.  The trace cache in ``repro.experiments.common``
-is pre-warmed here so benches measure analysis cost, not generation.
+is pre-warmed here so benches measure analysis cost, not generation; the
+benches of memoized analyses clear the memo before each round.
 
 Opt-in perf trajectory: set ``BENCH_OUT`` to append one JSONL record per
 passing bench (nodeid, wall seconds, scale, ``code_version()``) — point it
@@ -29,6 +30,14 @@ BENCH_SEED = 0
 def warm_traces():
     """Generate the shared per-system traces once per benchmark session."""
     return get_traces(BENCH_DAYS, BENCH_SEED)
+
+
+def fresh_analyses() -> None:
+    """Drop the analyses memoized on the shared traces, so that every round
+    of a figure bench computes its figure (docs/PERFORMANCE.md,
+    "Characterization")."""
+    for trace in get_traces(BENCH_DAYS, BENCH_SEED).values():
+        trace.jobs = trace.jobs  # assigning ``jobs`` drops the memo
 
 
 def _bench_history_path() -> Path | None:

@@ -2,11 +2,17 @@
 
 from repro.experiments import run_experiment
 
-from conftest import BENCH_DAYS, BENCH_SEED
+from conftest import BENCH_DAYS, BENCH_SEED, fresh_analyses
 
 
 def test_bench_fig10(benchmark):
     """End-to-end regeneration of Fig 10 runtime vs queue length."""
-    result = benchmark(run_experiment, "fig10", days=BENCH_DAYS, seed=BENCH_SEED)
+    result = benchmark.pedantic(
+        run_experiment,
+        args=("fig10",),
+        kwargs=dict(days=BENCH_DAYS, seed=BENCH_SEED),
+        setup=fresh_analyses,
+        rounds=5,
+    )
     assert result.exp_id == "fig10"
     assert result.render()

@@ -18,7 +18,7 @@ from ..traces.categorize import (
     trace_length_class,
     trace_size_class,
 )
-from ..traces.schema import Trace
+from ..traces.schema import Trace, per_trace
 
 __all__ = ["CoreHourShares", "core_hour_shares", "dominating_class"]
 
@@ -46,6 +46,7 @@ class CoreHourShares:
         return LENGTH_LABELS[int(np.argmax(self.by_length))]
 
 
+@per_trace
 def core_hour_shares(trace: Trace) -> CoreHourShares:
     """Compute Fig 2 shares for one trace."""
     ch = trace.core_hours()

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..frame import share
 from ..traces.categorize import trace_length_class, trace_size_class
-from ..traces.schema import JobStatus, Trace
+from ..traces.schema import JobStatus, Trace, per_trace
 
 __all__ = [
     "StatusShares",
@@ -73,6 +73,7 @@ class StatusByClass:
         return self.by_size[:, 0]
 
 
+@per_trace
 def status_shares(trace: Trace) -> StatusShares:
     """Compute Fig 6 shares for one trace."""
     statuses = trace["status"]
@@ -100,6 +101,7 @@ def _status_matrix(statuses: np.ndarray, classes: np.ndarray) -> tuple[np.ndarra
     return mat, counts
 
 
+@per_trace
 def status_by_class(trace: Trace) -> StatusByClass:
     """Compute Fig 7 status-vs-geometry matrices for one trace."""
     statuses = trace["status"]

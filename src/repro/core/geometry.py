@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..frame import ViolinSummary, ecdf_at, violin_summary
-from ..traces.schema import Trace
+from ..traces.schema import Trace, per_trace
 
 __all__ = [
     "GeometrySummary",
@@ -89,6 +89,7 @@ class GeometrySummary:
     allocation: AllocationSummary
 
 
+@per_trace
 def runtime_summary(trace: Trace) -> RuntimeSummary:
     """Runtime CDF + violin statistics (Fig 1a)."""
     rt = trace["runtime"]
@@ -101,6 +102,7 @@ def runtime_summary(trace: Trace) -> RuntimeSummary:
     )
 
 
+@per_trace
 def arrival_summary(trace: Trace) -> ArrivalSummary:
     """Arrival interval CDF and diurnal profile (Fig 1b).
 
@@ -122,6 +124,7 @@ def arrival_summary(trace: Trace) -> ArrivalSummary:
     )
 
 
+@per_trace
 def allocation_summary(trace: Trace) -> AllocationSummary:
     """Requested-cores CDF, absolute and percentage (Fig 1c)."""
     cores = trace["cores"].astype(float)

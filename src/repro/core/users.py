@@ -13,7 +13,7 @@ from ..traces.categorize import (
     trace_length_class,
     trace_size_class,
 )
-from ..traces.schema import JobStatus, Trace
+from ..traces.schema import JobStatus, Trace, per_trace
 from ..traces.synth import queue_length_at_submit
 
 __all__ = [
@@ -51,10 +51,11 @@ def config_groups_for_user(
     for c in np.unique(cores):
         idx = np.flatnonzero(cores == c)
         order = idx[np.argsort(runtime[idx], kind="stable")]
+        ids = []
         mean = None
         count = 0
-        for j in order:
-            rt = runtime[j]
+        # Python floats: the same IEEE arithmetic as NumPy scalars, faster
+        for rt in runtime[order].tolist():
             if mean is not None and abs(rt - mean) <= tolerance * mean:
                 # running mean update keeps the group's centre honest
                 mean = (mean * count + rt) / (count + 1)
@@ -63,7 +64,8 @@ def config_groups_for_user(
                 next_id += 1
                 mean = rt
                 count = 1
-            groups[j] = next_id - 1
+            ids.append(next_id - 1)
+        groups[order] = ids
     return groups
 
 
@@ -82,6 +84,7 @@ class RepetitionSummary:
         return float(self.cumulative_share[k - 1])
 
 
+@per_trace
 def repetition_summary(
     trace: Trace,
     max_k: int = 10,
@@ -95,7 +98,14 @@ def repetition_summary(
     ``min_jobs`` jobs, as the paper averages over representative users.
     """
     users = trace["user_id"]
-    uniq, counts = np.unique(users, return_counts=True)
+    # one stable grouping: each user's rows, in trace order, are a slice
+    by_user = np.argsort(users, kind="stable")
+    sorted_users = users[by_user]
+    first = np.ones(len(users), dtype=bool)
+    first[1:] = sorted_users[1:] != sorted_users[:-1]
+    starts = np.flatnonzero(first)
+    bounds = np.append(starts, len(users))
+    uniq, counts = sorted_users[starts], np.diff(bounds)
     eligible = uniq[counts >= min_jobs]
     if len(eligible) == 0:
         eligible = uniq
@@ -107,8 +117,9 @@ def repetition_summary(
     cores = trace["cores"]
     runtime = trace["runtime"]
     for u in chosen:
-        mask = users == u
-        groups = config_groups_for_user(cores[mask], runtime[mask], tolerance)
+        k = np.searchsorted(uniq, u)
+        rows = by_user[bounds[k] : bounds[k + 1]]
+        groups = config_groups_for_user(cores[rows], runtime[rows], tolerance)
         _, sizes = np.unique(groups, return_counts=True)
         sizes = np.sort(sizes)[::-1]
         cum = np.cumsum(sizes) / sizes.sum()
@@ -149,16 +160,16 @@ class QueueConditioned:
         return self.mix[:, 0]
 
 
+@per_trace
 def _queue_classes(trace: Trace) -> tuple[np.ndarray, tuple]:
-    qlen = queue_length_at_submit(
-        trace.sorted_by_submit()["submit_time"],
-        trace.sorted_by_submit()["wait_time"],
-    )
+    """Queue-length class (0/1/2, int8) of each job, in submission order."""
+    tr = trace.sorted_by_submit()
+    qlen = queue_length_at_submit(tr["submit_time"], tr["wait_time"])
     q_max = float(qlen.max()) if len(qlen) else 0.0
     if q_max <= 0:
-        return np.zeros(len(qlen), dtype=int), (0.0, 0.0)
+        return np.zeros(len(qlen), dtype=np.int8), (0.0, 0.0)
     t1, t2 = q_max / 3.0, 2.0 * q_max / 3.0
-    cls = np.where(qlen < t1, 0, np.where(qlen < t2, 1, 2))
+    cls = np.where(qlen < t1, 0, np.where(qlen < t2, 1, 2)).astype(np.int8)
     return cls, (t1, t2)
 
 
@@ -176,6 +187,7 @@ def _conditioned_mix(
     return mix, counts
 
 
+@per_trace
 def size_vs_queue(trace: Trace) -> QueueConditioned:
     """Fig 9: requested size mix per queue-length class.
 
@@ -197,6 +209,7 @@ def size_vs_queue(trace: Trace) -> QueueConditioned:
     )
 
 
+@per_trace
 def runtime_vs_queue(trace: Trace) -> QueueConditioned:
     """Fig 10: runtime mix per queue-length class.
 

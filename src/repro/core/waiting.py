@@ -8,7 +8,7 @@ import numpy as np
 
 from ..frame import ecdf_at
 from ..traces.categorize import trace_length_class, trace_size_class
-from ..traces.schema import Trace
+from ..traces.schema import Trace, per_trace
 
 __all__ = [
     "WaitSummary",
@@ -62,6 +62,7 @@ class WaitByClass:
         return int(np.nanargmax(self.by_length))
 
 
+@per_trace
 def wait_summary(trace: Trace) -> WaitSummary:
     """Wait and turnaround CDFs (Fig 4)."""
     wait = trace["wait_time"]

@@ -25,9 +25,12 @@ column             dtype    meaning
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import functools
+import inspect
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -36,7 +39,16 @@ from ..frame import Frame
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .systems import SystemSpec
 
-__all__ = ["JobStatus", "Trace", "CANONICAL_COLUMNS", "REQUIRED_COLUMNS"]
+__all__ = [
+    "JobStatus",
+    "Trace",
+    "CANONICAL_COLUMNS",
+    "REQUIRED_COLUMNS",
+    "per_trace",
+]
+
+#: instance attribute holding a trace's :func:`per_trace` results
+_MEMO = "_memo"
 
 
 class JobStatus(enum.IntEnum):
@@ -80,7 +92,13 @@ REQUIRED_COLUMNS: tuple[str, ...] = (
 
 @dataclass
 class Trace:
-    """A job trace bound to the system it was collected on."""
+    """A job trace bound to the system it was collected on.
+
+    Immutable by convention: analyses memoize their results on the instance
+    (:func:`per_trace`), so derive a new trace (``filter``, ``window``,
+    ``Trace(...)``) instead of writing into its column arrays.  Replacing
+    ``jobs`` wholesale drops the memoized results.
+    """
 
     system: "SystemSpec"
     jobs: Frame
@@ -92,6 +110,12 @@ class Trace:
         if missing:
             raise ValueError(f"trace missing required columns {missing}")
         self.jobs = _fill_defaults(self.jobs)
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "jobs":
+            # memoized results describe the rows being replaced
+            self.__dict__.pop(_MEMO, None)
+        object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------------
     @property
@@ -115,7 +139,14 @@ class Trace:
         return Trace(self.system, self.jobs.filter(mask), dict(self.meta))
 
     def sorted_by_submit(self) -> "Trace":
-        """Trace with rows in submission order."""
+        """Trace with rows in submission order.
+
+        A trace already in submission order is returned as is: the stable
+        sort would leave every row where it is.
+        """
+        t = self.jobs["submit_time"]
+        if np.all(t[1:] >= t[:-1]):
+            return self
         return Trace(
             self.system, self.jobs.sort_by("submit_time"), dict(self.meta)
         )
@@ -161,8 +192,49 @@ def _fill_defaults(jobs: Frame) -> Frame:
         )
     if "vc" not in out:
         out = out.with_column("vc", np.zeros(n, dtype=np.int64))
-    # enforce dtypes on the numeric core
-    out = out.with_column("submit_time", out["submit_time"].astype(float))
-    out = out.with_column("runtime", out["runtime"].astype(float))
-    out = out.with_column("cores", out["cores"].astype(np.int64))
+    # enforce dtypes on the numeric core (columns that conform are shared)
+    submit, runtime = out["submit_time"], out["runtime"]
+    out = out.with_column("submit_time", submit.astype(float, copy=False))
+    out = out.with_column("runtime", runtime.astype(float, copy=False))
+    out = out.with_column("cores", out["cores"].astype(np.int64, copy=False))
     return out
+
+
+def per_trace(fn: Callable) -> Callable:
+    """Memoize the analysis ``fn(trace, *args)`` on the trace instance.
+
+    Results are keyed by ``fn`` and its bound arguments (defaults applied,
+    so ``f(t)`` and ``f(t, k=default)`` share one entry); every argument
+    after the trace must be hashable.  The memo lives in the trace's own
+    ``__dict__``: it is freed with the trace, dropped when ``jobs`` is
+    replaced, and never shared with derived traces (``filter``,
+    ``window``).  Arrays inside a memoized result are made read-only, so a
+    caller that writes into one fails loudly instead of corrupting the
+    next caller's result.
+    """
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def memoized(trace: Trace, *args, **kwargs):
+        bound = signature.bind(trace, *args, **kwargs)
+        bound.apply_defaults()
+        key = (fn, *list(bound.arguments.values())[1:])
+        memo = trace.__dict__.setdefault(_MEMO, {})
+        if key not in memo:
+            memo[key] = _read_only(fn(trace, *args, **kwargs))
+        return memo[key]
+
+    return memoized
+
+
+def _read_only(value):
+    """Clear the write flag of every array reachable in ``value``."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            _read_only(getattr(value, f.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    return value

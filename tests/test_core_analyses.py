@@ -1,5 +1,7 @@
 """Tests for the characterization core: geometry, core-hours, utilization,
-waiting, failures."""
+waiting, failures, and the per-trace memo they share."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -11,15 +13,22 @@ from repro.core import (
     arrival_summary,
     core_hour_shares,
     dominating_class,
+    evaluate_takeaways,
+    repetition_summary,
     runtime_summary,
+    runtime_vs_queue,
+    size_vs_queue,
     status_by_class,
     status_shares,
     utilization_timeline,
     wait_by_class,
     wait_summary,
 )
+from repro.core.users import _queue_classes
+from repro.experiments import run_experiment
 from repro.frame import Frame
 from repro.traces import BLUE_WATERS, MIRA, PHILLY, JobStatus, Trace
+from repro.traces.synth import cached_traces, generate_all_traces
 
 
 def make_trace(system=PHILLY, **cols):
@@ -199,3 +208,89 @@ class TestFailures:
         s = status_by_class(tr)
         assert np.isnan(s.by_length[1]).all()
         assert np.isnan(s.by_length[2]).all()
+
+
+#: every analysis memoized per trace
+MEMOIZED = (
+    runtime_summary,
+    arrival_summary,
+    allocation_summary,
+    core_hour_shares,
+    wait_summary,
+    status_shares,
+    status_by_class,
+    repetition_summary,
+    size_vs_queue,
+    runtime_vs_queue,
+    _queue_classes,
+)
+
+
+def _arrays(value):
+    """Every NumPy array reachable from a (nested) analysis result."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if dataclasses.is_dataclass(value):
+        value = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return [a for item in value for a in _arrays(item)]
+    return []
+
+
+class TestPerTraceMemo:
+    def test_takeaways_after_figures_equal_fresh_traces(self):
+        days, seed = 5.0, 0
+        for i in range(1, 12):
+            run_experiment(f"fig{i}", days=days, seed=seed)
+        # the figures filled the traces' memos; the takeaways read them
+        reused = evaluate_takeaways(cached_traces(days, seed))
+        fresh = evaluate_takeaways(generate_all_traces(days=days, seed=seed))
+        assert len(reused) == len(fresh) == 8
+        for a, b in zip(reused, fresh):
+            assert repr(dataclasses.asdict(a)) == repr(dataclasses.asdict(b))
+
+    @pytest.mark.parametrize("fn", MEMOIZED, ids=lambda f: f.__name__)
+    def test_second_call_returns_memoized_result(self, fn):
+        tr = make_trace()
+        assert fn(tr) is fn(tr)
+
+    def test_defaults_and_keywords_share_an_entry(self):
+        tr = make_trace()
+        assert repetition_summary(tr) is repetition_summary(tr, max_k=10)
+        assert repetition_summary(tr, max_k=3) is not repetition_summary(tr)
+
+    def test_replacing_jobs_invalidates(self):
+        tr = make_trace()
+        before = runtime_summary(tr)
+        tr.jobs = tr.jobs.with_column("runtime", [10.0, 20.0, 30.0, 40.0])
+        after = runtime_summary(tr)
+        assert after is not before
+        assert after.median == 25.0
+        assert before.median == pytest.approx(np.median([60, 7200, 90000, 30]))
+
+    def test_filter_and_window_do_not_share_entries(self):
+        parent = make_trace()
+        whole = runtime_summary(parent)
+        same_rows = parent.filter(np.ones(parent.num_jobs, dtype=bool))
+        assert runtime_summary(same_rows) is not whole
+        first_two = parent.window(0.0, 150.0)
+        assert runtime_summary(first_two).median == pytest.approx(3630.0)
+        assert runtime_summary(parent) is whole
+        assert whole.median == pytest.approx(np.median([60, 7200, 90000, 30]))
+
+    def test_sorted_trace_shares_its_memo(self):
+        tr = make_trace()
+        assert runtime_summary(tr.sorted_by_submit()) is runtime_summary(tr)
+
+    @pytest.mark.parametrize("fn", MEMOIZED, ids=lambda f: f.__name__)
+    def test_memoized_arrays_are_read_only(self, fn):
+        arrays = _arrays(fn(make_trace()))
+        assert arrays
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+    def test_unhashable_argument_raises(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            repetition_summary(make_trace(), max_k=np.array([10]))

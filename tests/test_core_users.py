@@ -65,7 +65,103 @@ class TestConfigGroups:
             assert np.all(np.abs(member - mean) <= 2 * tol * mean + 1e-9)
 
 
+def _config_groups_numpy_scalars(cores, runtime, tolerance=0.10):
+    """The greedy grouping loop over NumPy scalars, kept as an oracle."""
+    cores = np.asarray(cores)
+    runtime = np.asarray(runtime, dtype=float)
+    groups = np.full(len(cores), -1, dtype=np.int64)
+    next_id = 0
+    for c in np.unique(cores):
+        idx = np.flatnonzero(cores == c)
+        order = idx[np.argsort(runtime[idx], kind="stable")]
+        mean = None
+        count = 0
+        for j in order:
+            rt = runtime[j]
+            if mean is not None and abs(rt - mean) <= tolerance * mean:
+                mean = (mean * count + rt) / (count + 1)
+                count += 1
+            else:
+                next_id += 1
+                mean = rt
+                count = 1
+            groups[j] = next_id - 1
+    return groups
+
+
+#: runtimes with many exact ties and zeros, plus arbitrary values
+RUNTIMES = st.one_of(
+    st.just(0.0),
+    st.sampled_from([1.0, 59.0, 60.0, 100.0, 109.0, 110.0, 3600.0]),
+    st.floats(0.0, 1e7, allow_nan=False),
+)
+
+
+class TestConfigGroupsOracle:
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 64), RUNTIMES), min_size=1, max_size=60
+        ),
+        st.floats(0.0, 0.5),
+    )
+    @settings(max_examples=200)
+    def test_python_floats_match_numpy_scalars(self, jobs, tol):
+        cores = np.array([c for c, _ in jobs], dtype=np.int64)
+        runtime = np.array([r for _, r in jobs])
+        expected = _config_groups_numpy_scalars(cores, runtime, tol)
+        got = config_groups_for_user(cores, runtime, tol)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    def test_single_job_user(self):
+        g = config_groups_for_user(np.array([8]), np.array([0.0]))
+        assert list(g) == [0]
+
+    def test_zero_runtimes_group_together(self):
+        g = config_groups_for_user(np.ones(4, dtype=int), np.zeros(4))
+        assert list(g) == [0, 0, 0, 0]
+
+
+def _repetition_by_mask_scan(trace, max_k=10, n_users=20, min_jobs=30):
+    """Fig 8 curve selecting each user's rows with a full-length mask."""
+    users = trace["user_id"]
+    uniq, counts = np.unique(users, return_counts=True)
+    eligible = uniq[counts >= min_jobs]
+    if len(eligible) == 0:
+        eligible = uniq
+    chosen = eligible[np.argsort(-counts[np.isin(uniq, eligible)])][:n_users]
+    curves = []
+    for u in chosen:
+        mask = users == u
+        groups = _config_groups_numpy_scalars(
+            trace["cores"][mask], trace["runtime"][mask]
+        )
+        sizes = np.sort(np.unique(groups, return_counts=True)[1])[::-1]
+        cum = np.cumsum(sizes) / sizes.sum()
+        padded = np.ones(max_k)
+        padded[: min(max_k, len(cum))] = cum[:max_k]
+        curves.append(padded)
+    return np.mean(curves, axis=0), len(chosen)
+
+
 class TestRepetition:
+    @pytest.mark.parametrize("system", ["philly", "mira"])
+    def test_stable_grouping_matches_mask_scan(self, system):
+        tr = generate_trace(system, days=3, seed=5)
+        curve, n_users = _repetition_by_mask_scan(tr)
+        s = repetition_summary(tr)
+        assert s.n_users == n_users
+        assert np.array_equal(s.cumulative_share, curve)
+
+    def test_empty_trace(self):
+        tr = Trace(
+            system=PHILLY,
+            jobs=Frame({"submit_time": [], "runtime": [], "cores": []}),
+        )
+        with pytest.warns(RuntimeWarning):
+            s = repetition_summary(tr)
+        assert s.n_users == 0
+
     def test_single_config_user_repeats_fully(self):
         tr = Trace(
             system=PHILLY,

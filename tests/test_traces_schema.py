@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.frame import Frame
 from repro.traces import (
@@ -77,6 +79,70 @@ class TestTrace:
             ),
         )
         assert list(tr.sorted_by_submit()["submit_time"]) == [1.0, 5.0]
+
+    def test_sorted_trace_is_returned_without_a_copy(self):
+        tr = make_trace(submit_time=[0.0, 10.0, 10.0])
+        assert tr.sorted_by_submit() is tr
+        assert tr.sorted_by_submit().jobs is tr.jobs
+
+    def test_unsorted_ties_match_a_stable_sort(self):
+        tr = Trace(
+            system=MIRA,
+            jobs=Frame(
+                {
+                    "submit_time": [5.0, 1.0, 5.0, 1.0, 3.0, 1.0],
+                    "runtime": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+                    "cores": [1, 2, 3, 4, 5, 6],
+                }
+            ),
+        )
+        out = tr.sorted_by_submit()
+        assert out.jobs == tr.jobs.sort_by("submit_time")
+        assert list(out["job_id"]) == [1, 3, 5, 4, 0, 2]
+        assert out.sorted_by_submit() is out
+
+    @given(st.lists(st.integers(0, 4), min_size=0, max_size=30))
+    @settings(max_examples=50)
+    def test_sorted_by_submit_equals_stable_sort(self, submits):
+        n = len(submits)
+        tr = Trace(
+            system=MIRA,
+            jobs=Frame(
+                {
+                    "submit_time": np.array(submits, dtype=float),
+                    "runtime": np.arange(n, dtype=float),
+                    "cores": np.ones(n, dtype=np.int64),
+                }
+            ),
+        )
+        assert tr.sorted_by_submit().jobs == tr.jobs.sort_by("submit_time")
+
+    def test_construction_shares_columns_of_the_right_dtype(self):
+        frame = Frame(
+            {
+                "submit_time": np.array([0.0, 1.0]),
+                "runtime": np.array([5.0, 6.0]),
+                "cores": np.array([1, 2], dtype=np.int64),
+            }
+        )
+        tr = Trace(system=MIRA, jobs=frame)
+        for col in ("submit_time", "runtime", "cores"):
+            assert tr[col] is frame[col]
+
+    def test_construction_still_coerces_dtypes(self):
+        tr = Trace(
+            system=MIRA,
+            jobs=Frame(
+                {
+                    "submit_time": np.array([0, 1], dtype=np.int32),
+                    "runtime": np.array([5, 6], dtype=np.int64),
+                    "cores": np.array([1.0, 2.0]),
+                }
+            ),
+        )
+        assert tr["submit_time"].dtype == np.float64
+        assert tr["runtime"].dtype == np.float64
+        assert tr["cores"].dtype == np.int64
 
 
 class TestJobStatus:
