@@ -21,11 +21,18 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.experiments import ext_resilience, table2
 from repro.sched import (
+    EASY,
+    POLICIES,
     FaultConfig,
+    SimWorkload,
+    adaptive_relaxed,
+    relaxed,
+    simulate,
     simulate_fast_conservative,
     simulate_fast_with_faults,
     workload_from_trace,
@@ -124,7 +131,63 @@ def _fast_faults_golden() -> _Blob:
     )
 
 
+class _Lines:
+    """Golden payload written as one compact sorted-key JSON line per run
+    (a per-policy matrix stays diffable without indenting every float)."""
+
+    def __init__(self, runs: dict[str, dict]):
+        self.runs = runs
+
+    def to_json(self) -> str:
+        return "\n".join(
+            json.dumps({"run": name, **run}, sort_keys=True, separators=(",", ":"))
+            for name, run in self.runs.items()
+        )
+
+
+#: the EASY family frozen per policy: strict, relaxed and adaptive-relaxed
+EASY_BACKFILLS = {
+    "easy": EASY,
+    "relaxed": relaxed(0.1),
+    "adaptive": adaptive_relaxed(0.1),
+}
+
+
+def _easy_policies_golden() -> _Lines:
+    """Freeze the full EASY-family ``SimResult`` for every queue policy.
+
+    The 2-day Mira workload with its jobs spread over four users (so
+    fair-share ranks by decayed usage) queues hundreds of jobs deep —
+    a scale the O(n^2) oracle cannot reach in a test, so this golden
+    pins deep-queue and fair-share behaviour on its own.
+    """
+    workload, capacity = _golden_workload()
+    rng = np.random.default_rng(7)
+    workload = SimWorkload(
+        submit=workload.submit,
+        cores=workload.cores,
+        runtime=workload.runtime,
+        walltime=workload.walltime,
+        user=rng.integers(0, 4, workload.n).astype(np.int64),
+        status=workload.status,
+    )
+    runs = {}
+    for policy in POLICIES:
+        for bf_name, bf in EASY_BACKFILLS.items():
+            res = simulate(workload, capacity, policy, bf, track_queue=True)
+            runs[f"{policy}/{bf_name}"] = {
+                "summary": res.to_dict(),
+                "start": res.start.tolist(),
+                "promised": res.promised.tolist(),
+                "backfilled": res.backfilled.astype(int).tolist(),
+                "queue_samples": res.queue_samples.tolist(),
+                "queue_sample_times": res.queue_sample_times.tolist(),
+            }
+    return _Lines(runs)
+
+
 CASES = {
+    "easy_policies": _easy_policies_golden,
     "table2": lambda: table2.run(**GOLDEN_PARAMS),
     "ext_resilience": lambda: ext_resilience.run(**GOLDEN_PARAMS),
     "fast_conservative": _fast_conservative_golden,
