@@ -7,7 +7,7 @@ Subcommands::
     repro analyze   <trace.swf> [--report out.md]
     repro analyze   <events.jsonl | events.npz> [--json]
     repro simulate  <trace.swf> [--policy P[,P2,...]] [--backfill MODE]
-                    [--engine easy|fast] [--relax F]
+                    [--relax F]
                     [--jobs N] [--cache-dir DIR] [--no-cache]
                     [--task-timeout S] [--on-error raise|skip|retry]
                     [--task-retries N] [--retry-backoff S] [--fsync]
@@ -21,10 +21,9 @@ Subcommands::
                     [--perf] [--median-of K] [--format text|json] [--json]
                     [--fail-on-regression]
     repro profile   <trace.swf> [--policy P] [--backfill MODE]
-                    [--engine easy|fast] [--sample-hz HZ]
+                    [--sample-hz HZ]
                     [--trace-out trace.json] [--stacks-out stacks.txt]
     repro fuzz      [--budget N] [--seed S] [--policy P[,P2,...]]
-                    [--engine reference|fast|fast-conservative|fast-faults]
                     [--capacity C] [--max-jobs N] [--out repro.swf]
     repro study     [--days D] [--seed S] [--report out.md]
 
@@ -272,7 +271,6 @@ def _simulate_direct(args: argparse.Namespace, trace, workload, policy, backfill
         tracer=tracer,
         metrics=obs_metrics,
         profiler=profiler,
-        engine=args.engine,
     )
     if faults is not None:
         from .sched import compute_resilience_metrics
@@ -353,7 +351,6 @@ def _simulate_sweep(args: argparse.Namespace, trace, workload, policies, backfil
             backfill=backfill,
             faults=faults,
             capacity=trace.system.schedulable_units,
-            engine=args.engine,
         )
         for policy in policies
     ]
@@ -719,7 +716,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             args.policy,
             backfill,
             profiler=prof,
-            engine=args.engine,
         )
     except KeyError as exc:
         print(f"unknown policy: {exc}", file=sys.stderr)
@@ -761,36 +757,15 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     from .traces.swf import format_swf_lines
 
     if args.policy is None:
-        # the fast EASY-family impls swap conservative for the SJF+EASY
-        # configuration; the fast-conservative twin covers only it
-        args.policy = {
-            "fast": "fcfs,sjf,easy,sjf-easy",
-            "fast-conservative": "conservative",
-            "fast-faults": "fcfs,sjf,easy,sjf-easy",
-        }.get(args.engine, "fcfs,sjf,easy,conservative")
-    policies = [p.strip() for p in args.policy.split(",") if p.strip()]
+        policies = list(FUZZ_POLICIES)
+    else:
+        policies = [p.strip() for p in args.policy.split(",") if p.strip()]
     unknown = [p for p in policies if p not in FUZZ_POLICIES]
     if not policies or unknown:
         print(
             f"--policy needs a comma-separated subset of "
             f"{sorted(FUZZ_POLICIES)}"
             + (f"; unknown: {unknown}" if unknown else ""),
-            file=sys.stderr,
-        )
-        return 2
-    unsupported = [
-        p for p in policies if not FUZZ_POLICIES[p].supports_impl(args.engine)
-    ]
-    if unsupported:
-        hint = (
-            "conservative backfilling is covered by --engine "
-            "fast-conservative"
-            if args.engine in ("fast", "fast-faults")
-            else "it covers the conservative configuration only"
-        )
-        print(
-            f"--engine {args.engine} cannot fuzz {unsupported}: {hint}; "
-            "drop them from --policy or use --engine reference",
             file=sys.stderr,
         )
         return 2
@@ -806,7 +781,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         seed=args.seed,
         capacity=args.capacity,
         max_jobs=args.max_jobs,
-        engine_impl=args.engine,
     )
     print(report.describe())
     if report.ok:
@@ -916,15 +890,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument(
         "--backfill", choices=sorted(_BACKFILLS), default="easy"
-    )
-    p.add_argument(
-        "--engine",
-        choices=("easy", "fast"),
-        default="easy",
-        help="engine implementation: easy = readable per-job reference, "
-        "fast = vectorized structure-of-arrays rewrite (bit-identical "
-        "schedules, event streams, conservative profiles and fault "
-        "injection, ~5-20x faster at scale — see docs/PERFORMANCE.md)",
     )
     p.add_argument("--relax", type=float, default=0.1)
     p.add_argument("--max-jobs", type=int, default=0)
@@ -1147,12 +1112,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--backfill", choices=sorted(_BACKFILLS), default="easy"
     )
-    p.add_argument(
-        "--engine",
-        choices=("easy", "fast"),
-        default="easy",
-        help="engine implementation to profile (docs/PERFORMANCE.md)",
-    )
     p.add_argument("--relax", type=float, default=0.1)
     p.add_argument("--max-jobs", type=int, default=0)
     p.add_argument(
@@ -1195,21 +1154,9 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="comma-separated configurations to fuzz "
         "(fcfs/sjf = pure queue order, easy = FCFS+EASY backfill, "
-        "sjf-easy = SJF+EASY, conservative = conservative backfill); "
-        "default fcfs,sjf,easy,conservative — the fast EASY-family "
-        "engines swap conservative for sjf-easy, fast-conservative "
-        "defaults to conservative alone",
-    )
-    p.add_argument(
-        "--engine",
-        choices=("reference", "fast", "fast-conservative", "fast-faults"),
-        default="reference",
-        help="production implementation to face the oracle: reference = "
-        "the readable per-job engines, fast = the vectorized "
-        "repro.sched.fast rewrite, fast-conservative = the vectorized "
-        "profile-rebuild twin, fast-faults = the vectorized fault engine "
-        "diffed whole-result against repro.sched.faults over the "
-        "FUZZ_FAULT_CONFIGS matrix (docs/PERFORMANCE.md)",
+        "<policy>-easy = that queue policy + EASY, e.g. sjf-easy or "
+        "fairshare-easy, conservative = conservative backfill); "
+        "default: every configuration (docs/TESTING.md)",
     )
     p.add_argument(
         "--capacity", type=int, default=16, help="fuzzed cluster size"

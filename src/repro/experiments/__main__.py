@@ -46,14 +46,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="DIR",
         help="also write <exp>.txt and <exp>.json into DIR",
     )
-    parser.add_argument(
-        "--engine",
-        choices=("easy", "fast"),
-        default="easy",
-        help="engine implementation for experiments that take it: easy = "
-        "readable reference, fast = vectorized repro.sched.fast with "
-        "bit-identical results (docs/PERFORMANCE.md)",
-    )
     runner = parser.add_argument_group("parallel runner (docs/PARALLELISM.md)")
     runner.add_argument(
         "--jobs",
@@ -202,8 +194,6 @@ def main(argv: list[str] | None = None) -> int:
                 kwargs["journal"] = args.journal
             if perf is not None and "perf" in params:
                 kwargs["perf"] = perf
-            if args.engine != "easy" and "engine" in params:
-                kwargs["engine"] = args.engine
             result = run_experiment(exp_id, **kwargs)
         except KeyError as exc:
             print(exc, file=sys.stderr)

@@ -46,14 +46,8 @@ def run(
     retries: RetryPolicy | int | None = None,
     journal: SweepJournal | str | Path | None = None,
     perf=None,
-    engine: str = "easy",
 ) -> ExperimentResult:
-    """Policy x system grid under EASY backfilling.
-
-    ``engine="fast"`` runs every cell through the vectorized
-    :mod:`repro.sched.fast` engine — bit-identical tables, much faster on
-    large grids (docs/PERFORMANCE.md).
-    """
+    """Policy x system grid under EASY backfilling."""
     tasks = [
         SimTask(
             label=f"{system}/{policy}",
@@ -62,7 +56,6 @@ def run(
             ),
             policy=policy,
             backfill=EASY,
-            engine=engine,
         )
         for system in SYSTEMS
         for policy in policies

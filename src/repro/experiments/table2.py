@@ -46,7 +46,6 @@ def run(
     retries=None,
     journal=None,
     perf=None,
-    engine: str = "easy",
 ) -> ExperimentResult:
     """Reproduce Table II: relaxed vs adaptive-relaxed backfilling.
 
@@ -57,8 +56,6 @@ def run(
     is unknown) and rendered as a ``FAILED`` row.  ``perf`` (a
     :class:`repro.obs.PerfConfig`) is shared by both phases, so the two
     sweeps accumulate into one trace (docs/OBSERVABILITY.md).
-    ``engine="fast"`` runs both phases on the vectorized engine with
-    bit-identical numbers (docs/PERFORMANCE.md).
     """
     sweep_opts = dict(
         jobs=jobs,
@@ -84,7 +81,6 @@ def run(
                     workload=specs[name],
                     backfill=relaxed(relax_base),
                     track_queue=True,
-                    engine=engine,
                 )
                 for name in SYSTEMS
             ],
@@ -106,7 +102,6 @@ def run(
                         relax_base,
                         max_queue_len=relaxed_results[name].max_queue or None,
                     ),
-                    engine=engine,
                 )
                 for name in phase2
             ],

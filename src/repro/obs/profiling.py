@@ -188,7 +188,7 @@ class Profiler:
         """Context manager timing one region under ``name``.
 
         Keyword arguments become the span's tags (e.g.
-        ``prof.span("simulate", engine="easy", policy="fcfs")``) and ride
+        ``prof.span("simulate", engine="fast", policy="fcfs")``) and ride
         along into the serialized record's ``args``.
         """
         return _Span(self, name, tags or None)

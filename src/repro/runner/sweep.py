@@ -149,10 +149,6 @@ class SimTask:
     capacity: int | None = None
     kill_at_walltime: bool = False
     track_queue: bool = False
-    #: "easy" (reference) or "fast" (vectorized, bit-identical; see
-    #: docs/PERFORMANCE.md).  Part of the cache fingerprint so a cell's
-    #: cached result always names the engine that produced it.
-    engine: str = "easy"
 
     def resolved_capacity(self) -> int:
         if self.capacity is not None:
@@ -181,7 +177,6 @@ class SimTask:
             "faults": None if self.faults is None else asdict(self.faults),
             "kill_at_walltime": self.kill_at_walltime,
             "track_queue": self.track_queue,
-            "engine": self.engine,
             "code": code_version(),
         }
 
@@ -256,36 +251,22 @@ def _run_cell(task: SimTask, profiler=None, metrics=None) -> TaskResult:
         workload = task.workload
         capacity = task.resolved_capacity()
 
-    if task.faults is not None:
-        # engine="fast" dispatches to the bit-identical vectorized fault
-        # engine (repro.sched.fast_faults); the cache fingerprint already
-        # names the engine, so easy/fast cells never collide
-        result = simulate(
-            workload,
-            capacity,
-            task.policy,
-            task.backfill,
-            faults=task.faults,
-            track_queue=task.track_queue,
-            kill_at_walltime=task.kill_at_walltime,
-            metrics=metrics,
-            profiler=profiler,
-            engine=task.engine,
-        )
-        resilience = compute_resilience_metrics(result).as_dict()
-    else:
-        result = simulate(
-            workload,
-            capacity,
-            task.policy,
-            task.backfill,
-            track_queue=task.track_queue,
-            kill_at_walltime=task.kill_at_walltime,
-            metrics=metrics,
-            profiler=profiler,
-            engine=task.engine,
-        )
-        resilience = None
+    result = simulate(
+        workload,
+        capacity,
+        task.policy,
+        task.backfill,
+        faults=task.faults,
+        track_queue=task.track_queue,
+        kill_at_walltime=task.kill_at_walltime,
+        metrics=metrics,
+        profiler=profiler,
+    )
+    resilience = (
+        None
+        if task.faults is None
+        else compute_resilience_metrics(result).as_dict()
+    )
     metrics_dict = compute_metrics(result).as_dict()
     max_queue = None
     if task.track_queue:

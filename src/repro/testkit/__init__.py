@@ -4,8 +4,8 @@ Three layers, each usable on its own (see ``docs/TESTING.md``):
 
 * :mod:`repro.testkit.oracle` — a deliberately simple O(n²) reference
   scheduler (no heap, no free-core ledger, full re-scans every step)
-  implementing FCFS/SJF ordering with no-backfill, EASY and conservative
-  semantics straight from their definitions;
+  implementing every queue policy (fair share included) with no-backfill,
+  EASY and conservative semantics straight from their definitions;
 * :mod:`repro.testkit.invariants` — reusable invariant checks (capacity
   never exceeded, no start before submit, promises honoured, conservation
   of work) callable on any :class:`~repro.sched.SimResult`, plus the
@@ -27,7 +27,6 @@ golden tests (``tests/test_goldens.py``) pin end-to-end experiment output.
 
 from .chaos import NO_CHAOS, ChaosConfig, ChaosError
 from .fuzz import (
-    ENGINE_IMPLS,
     FUZZ_FAULT_CONFIGS,
     FUZZ_POLICIES,
     Divergence,
@@ -68,7 +67,6 @@ __all__ = [
     "FuzzPolicy",
     "FUZZ_POLICIES",
     "FUZZ_FAULT_CONFIGS",
-    "ENGINE_IMPLS",
     "FuzzReport",
     "Divergence",
     "check_case",

@@ -1,4 +1,5 @@
-"""Shared test fixtures: a hand-rolled per-test wall-clock timeout.
+"""Shared test fixtures: a hand-rolled per-test wall-clock timeout, and
+the frozen output of the former reference EASY loop.
 
 CI must fail fast on a hung test (e.g. a deadlocked ``multiprocessing``
 pool in the sweep-runner tests) instead of burning the job's whole
@@ -15,13 +16,23 @@ project's dependency set, so the guard is a plain ``SIGALRM`` fixture:
   requirement everywhere pytest runs tests elsewhere);
 * nested alarms are not supported — the fixture restores the previous
   handler on teardown, which is enough for pytest's flat test loop.
+
+``reference_golden`` maps each case of
+``tests/goldens/reference_streams.jsonl`` to its value: the event
+streams and metrics payloads the former reference EASY loop emitted for
+the identity tests' inputs, written by that loop in the commit before it
+was deleted (``git log -- tests/goldens/reference_streams.jsonl``).  The
+identity tests compare the engine against this record rather than
+against the engine itself, so it is never regenerated from the engine.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -78,3 +89,10 @@ def _per_test_timeout(request):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(scope="session")
+def reference_golden() -> dict:
+    path = Path(__file__).parent / "goldens" / "reference_streams.jsonl"
+    rows = map(json.loads, path.read_text().splitlines())
+    return {row["case"]: row["value"] for row in rows}

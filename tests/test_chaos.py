@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.obs import RunRegistry, read_records
@@ -73,6 +73,17 @@ def metrics_of(results):
 
 # fast retries everywhere: chaos tests never need to actually sleep
 FAST = RetryPolicy(max_attempts=8, backoff_base=0.0)
+
+
+def healable(chaos: ChaosConfig, tasks) -> bool:
+    """Whether every task draws a clean attempt within FAST's budget."""
+    return all(
+        any(
+            chaos.fault_for(t.fingerprint(), attempt) is None
+            for attempt in range(1, FAST.max_attempts + 1)
+        )
+        for t in tasks
+    )
 
 
 class TestChaosConfig:
@@ -199,15 +210,51 @@ class TestChaosBitIdentical:
     @pytest.mark.timeout_s(280)
     def test_any_chaos_seed_is_healed_bit_identical(self, seed):
         tasks = grid(wl(n=10), policies=("fcfs", "sjf"))
+        chaos = ChaosConfig(crash_p=0.25, error_p=0.25, seed=seed)
+        # about 0.8% of seeds fault some cell on every attempt; those
+        # cannot heal (see test_unhealable_chaos_seed_ends_in_failure)
+        assume(healable(chaos, tasks))
         clean = run_sweep(tasks, jobs=1)
         healed = run_sweep(
             tasks,
             jobs=2,
-            chaos=ChaosConfig(crash_p=0.25, error_p=0.25, seed=seed),
+            chaos=chaos,
             on_error="retry",
             retry=FAST,
         )
         assert metrics_of(healed) == metrics_of(clean)
+
+    def test_unhealable_chaos_seed_ends_in_failure(self):
+        """A seed that faults a cell on all attempts exhausts the retry
+        budget: ``on_error="retry"`` records the failure and leaves a
+        ``None`` hole, and every other cell still matches the clean run."""
+        tasks = grid(wl(n=10), policies=("fcfs", "sjf"))
+        chaos = next(
+            cfg
+            for seed in range(20_000)
+            for cfg in (ChaosConfig(crash_p=0.25, error_p=0.25, seed=seed),)
+            if not healable(cfg, tasks)
+        )
+        clean = run_sweep(tasks, jobs=1)
+        report = FailureReport()
+        healed = run_sweep(
+            tasks,
+            jobs=2,
+            chaos=chaos,
+            on_error="retry",
+            retry=FAST,
+            failures_out=report,
+        )
+        doomed = [not healable(chaos, [t]) for t in tasks]
+        assert [r is None for r in healed] == doomed
+        assert len(report.failures) == sum(doomed)
+        assert all(
+            f.transient and f.attempt == FAST.max_attempts
+            for f in report.failures
+        )
+        assert [
+            m for m, d in zip(metrics_of(healed), doomed) if not d
+        ] == [m for m, d in zip(metrics_of(clean), doomed) if not d]
 
     def test_cache_corruption_quarantined_and_recomputed(self, tmp_path):
         tasks = grid(wl())

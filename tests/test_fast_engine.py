@@ -1,16 +1,17 @@
-"""Differential tests pinning the vectorized engines to the references.
+"""Differential tests pinning the vectorized engines to their references.
 
-:mod:`repro.sched.fast` reimplements the EASY-family hot path with flat
-arrays and batched event processing, :mod:`repro.sched.fast_conservative`
-does the same for conservative backfilling's profile walk, and
-:mod:`repro.sched.fast_faults` for the fault-injected engine; their one
-shared contract is **bit-identical results** (docs/PERFORMANCE.md).  This
-suite enforces that contract:
+:mod:`repro.sched.fast` is the EASY-family engine behind
+:func:`repro.sched.simulate`; its reference is the O(n²) oracle
+(:mod:`repro.testkit.oracle`).  :mod:`repro.sched.fast_conservative` and
+:mod:`repro.sched.fast_faults` are vectorized twins of the conservative and
+fault-injecting reference loops.  The one shared contract is
+**bit-identical results** (docs/PERFORMANCE.md).  This suite enforces it:
 
 * seeded differential matrices — every queue policy crossed with every
-  backfill mode on adversarial fuzz workloads (multi-user so fair-share
-  state is exercised), conservative backfilling across every policy, and
-  the fault engine across zero-failure and calibrated fault configs;
+  backfill mode against the oracle on adversarial fuzz workloads
+  (multi-user so fair-share state is exercised), conservative
+  backfilling across every policy, and the fault engine across
+  zero-failure and calibrated fault configs;
 * deep-queue burst stress, where the vectorized backfill scan and the
   amortized queue compaction actually kick in;
 * hypothesis properties over arbitrary small workloads, running the
@@ -18,10 +19,12 @@ suite enforces that contract:
   the fault battery's conservation sweep over failed/restarted attempts;
 * the satellite bugfixes: fair-share usage pruning (``USAGE_EPS``) and
   the normalized ``queue_samples`` / fault-array dtypes;
-* the dispatch/wiring surfaces: ``simulate(engine=...)`` (including the
-  ``faults=`` path), ``SimTask`` fingerprints, ``run_sweep``, the
-  fuzzer's ``engine_impl`` and the CLI ``--engine`` flags.
+* the dispatch/wiring surfaces: ``simulate`` (including the ``faults=``
+  path), ``run_sweep``, the fuzzer's per-configuration routing and the
+  CLI.
 """
+
+import importlib
 
 import numpy as np
 import pytest
@@ -46,7 +49,13 @@ from repro.sched import (
     simulate_with_faults,
 )
 from repro.sched.engine import USAGE_EPS
-from repro.testkit import FUZZ_POLICIES, check_case, fuzz, random_workload
+from repro.testkit import (
+    FUZZ_POLICIES,
+    check_case,
+    fuzz,
+    oracle_simulate,
+    random_workload,
+)
 from repro.testkit.fuzz import FUZZ_FAULT_CONFIGS
 from repro.testkit.invariants import check_fault_result, check_result
 
@@ -64,18 +73,6 @@ BACKFILLS = {
     "relaxed": relaxed(0.5),
     "adaptive": adaptive_relaxed(0.4),
 }
-
-
-def _multi_user(wl: SimWorkload, rng: np.random.Generator, n_users: int = 4):
-    """The same workload with jobs spread over ``n_users`` users."""
-    return SimWorkload(
-        submit=wl.submit,
-        cores=wl.cores,
-        runtime=wl.runtime,
-        walltime=wl.walltime,
-        user=rng.integers(0, n_users, wl.n).astype(np.int64),
-        status=wl.status,
-    )
 
 
 def _burst_workload(n: int = 300, seed: int = 0) -> SimWorkload:
@@ -111,17 +108,19 @@ def _assert_identical(ref, fast, label=""):
 
 
 class TestFastMatchesReference:
+    """The EASY engine against its reference, the oracle, field by field."""
+
     def test_differential_matrix(self):
         """Every policy x backfill on seeded adversarial workloads."""
         for case in range(25):
             rng = np.random.default_rng((42, case))
-            wl = _multi_user(random_workload(rng, capacity=CAPACITY), rng)
+            wl = random_workload(rng, capacity=CAPACITY)
             for policy in ALL_POLICIES:
                 for bf_name, bf in BACKFILLS.items():
-                    ref = simulate(
+                    ref = oracle_simulate(
                         wl, CAPACITY, policy, bf, track_queue=True
                     )
-                    fast = simulate_fast(
+                    fast = simulate(
                         wl, CAPACITY, policy, bf, track_queue=True
                     )
                     _assert_identical(
@@ -132,15 +131,17 @@ class TestFastMatchesReference:
         """Burst workloads exercise compaction + the vectorized scan."""
         wl = _burst_workload()
         for policy in ("fcfs", "sjf", "wfp3", "fairshare"):
-            ref = simulate(wl, 8, policy, EASY, track_queue=True)
-            fast = simulate_fast(wl, 8, policy, EASY, track_queue=True)
+            ref = oracle_simulate(wl, 8, policy, EASY, track_queue=True)
+            fast = simulate(wl, 8, policy, EASY, track_queue=True)
             _assert_identical(ref, fast, policy)
 
     def test_kill_at_walltime(self):
         wl = _burst_workload(seed=3)
         for kill in (False, True):
-            ref = simulate(wl, 8, "sjf", EASY, kill_at_walltime=kill)
-            fast = simulate_fast(wl, 8, "sjf", EASY, kill_at_walltime=kill)
+            ref = oracle_simulate(
+                wl.clipped_to_walltime() if kill else wl, 8, "sjf", EASY
+            )
+            fast = simulate(wl, 8, "sjf", EASY, kill_at_walltime=kill)
             _assert_identical(ref, fast, f"kill={kill}")
             assert ref.to_dict() == fast.to_dict()
 
@@ -153,11 +154,11 @@ class TestFastMatchesReference:
     )
     def test_property_bit_identical(self, seed, policy, bf, capacity):
         rng = np.random.default_rng(seed)
-        wl = _multi_user(random_workload(rng, capacity=capacity), rng)
-        ref = simulate(wl, capacity, policy, BACKFILLS[bf], track_queue=True)
-        fast = simulate_fast(
+        wl = random_workload(rng, capacity=capacity)
+        ref = oracle_simulate(
             wl, capacity, policy, BACKFILLS[bf], track_queue=True
         )
+        fast = simulate(wl, capacity, policy, BACKFILLS[bf], track_queue=True)
         _assert_identical(ref, fast, f"{policy}+{bf}@{capacity}")
 
 
@@ -202,7 +203,7 @@ class TestFastConservativeMatchesReference:
         chains through the profile rebuild."""
         for case in range(12):
             rng = np.random.default_rng((77, case))
-            wl = _multi_user(random_workload(rng, capacity=CAPACITY), rng)
+            wl = random_workload(rng, capacity=CAPACITY)
             for policy in ALL_POLICIES:
                 ref = simulate_conservative(
                     wl, CAPACITY, policy, track_queue=True
@@ -237,7 +238,7 @@ class TestFastConservativeMatchesReference:
     )
     def test_property_bit_identical_and_invariant(self, seed, policy, capacity):
         rng = np.random.default_rng(seed)
-        wl = _multi_user(random_workload(rng, capacity=capacity), rng)
+        wl = random_workload(rng, capacity=capacity)
         ref = simulate_conservative(wl, capacity, policy, track_queue=True)
         fast = simulate_fast_conservative(
             wl, capacity, policy, track_queue=True
@@ -256,7 +257,7 @@ class TestFastFaultsMatchesReference:
         backfill modes; every array field of the result must match."""
         for case in range(8):
             rng = np.random.default_rng((88, case))
-            wl = _multi_user(random_workload(rng, capacity=CAPACITY), rng)
+            wl = random_workload(rng, capacity=CAPACITY)
             for cfg_name, cfg in (
                 ("zero", NO_FAULTS),
                 ("calibrated", CALIBRATED_FAULTS),
@@ -279,12 +280,9 @@ class TestFastFaultsMatchesReference:
         (one attempt per job, identical schedule and queue samples)."""
         for case in range(6):
             rng = np.random.default_rng((89, case))
-            wl = _multi_user(random_workload(rng, capacity=CAPACITY), rng)
+            wl = random_workload(rng, capacity=CAPACITY)
             for policy in ("fcfs", "sjf", "fairshare"):
-                plain = simulate(
-                    wl, CAPACITY, policy, EASY, track_queue=True,
-                    engine="fast",
-                )
+                plain = simulate(wl, CAPACITY, policy, EASY, track_queue=True)
                 faulty = simulate_fast_with_faults(
                     wl, CAPACITY, policy, EASY, NO_FAULTS, track_queue=True
                 )
@@ -341,7 +339,7 @@ class TestFastFaultsMatchesReference:
         conservation sweep inside ``check_fault_result`` accounts every
         failed and restarted attempt's core-seconds."""
         rng = np.random.default_rng(seed)
-        wl = _multi_user(random_workload(rng, capacity=capacity), rng)
+        wl = random_workload(rng, capacity=capacity)
         cfg = FUZZ_FAULT_CONFIGS[cfg_index]
         ref = simulate_with_faults(
             wl, capacity, policy, EASY, cfg, track_queue=True
@@ -360,7 +358,7 @@ class TestFastFaultsMatchesReference:
 class TestUsagePruning:
     def test_pruned_usage_matches_fast_dense_zeroing(self):
         """Two bursts ~100 half-lives apart: all usage decays through the
-        epsilon between them, so the dict prune (reference) and the dense
+        epsilon between them, so the dict prune (oracle) and the dense
         zeroing (fast) must agree — and the second burst must schedule as
         if no history existed."""
         half_life_s = 24 * 3600.0  # FairSharePolicy default
@@ -374,8 +372,8 @@ class TestUsagePruning:
             walltime=np.full(n, 900.0),
             user=np.array([0, 1, 2, 0, 1, 2, 2, 1, 0, 2, 1, 0]),
         )
-        ref = simulate(wl, 8, "fairshare", EASY)
-        fast = simulate_fast(wl, 8, "fairshare", EASY)
+        ref = oracle_simulate(wl, 8, "fairshare", EASY)
+        fast = simulate(wl, 8, "fairshare", EASY)
         _assert_identical(ref, fast, "pruned fairshare")
         # with usage fully decayed, the second burst is a clean slate:
         # fair-share falls back to the (score, submit, index) tie-break,
@@ -403,10 +401,10 @@ class TestQueueSampleDtypes:
         wl = random_workload(rng, capacity=CAPACITY)
         for res in (
             simulate(wl, CAPACITY, "fcfs", EASY, track_queue=True),
-            simulate_fast(wl, CAPACITY, "fcfs", EASY, track_queue=True),
+            oracle_simulate(wl, CAPACITY, "fcfs", EASY, track_queue=True),
             simulate_conservative(wl, CAPACITY, "fcfs", track_queue=True),
             simulate(wl, CAPACITY, "fcfs", EASY),  # default factories
-            simulate_fast(wl, CAPACITY, "fcfs", EASY),
+            oracle_simulate(wl, CAPACITY, "fcfs", EASY),
         ):
             self._check(res)
 
@@ -493,22 +491,49 @@ class TestEngineDispatch:
     def test_simulate_engine_fast_equals_direct_call(self):
         wl = self._wl()
         _assert_identical(
-            simulate(wl, CAPACITY, "sjf", EASY, engine="fast"),
+            simulate(wl, CAPACITY, "sjf", EASY),
             simulate_fast(wl, CAPACITY, "sjf", EASY),
         )
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            simulate(self._wl(), CAPACITY, engine="warp")
+        """No entry point takes an engine argument: there is one engine."""
+        from repro.experiments import ext_policies, table2
+
+        wl = self._wl()
+        with pytest.raises(TypeError, match="engine"):
+            simulate(wl, CAPACITY, engine="fast")
+        with pytest.raises(TypeError, match="engine"):
+            SimTask(label="t", workload=wl, capacity=CAPACITY, engine="fast")
+        with pytest.raises(TypeError, match="engine"):
+            table2.run(engine="fast")
+        with pytest.raises(TypeError, match="engine"):
+            ext_policies.run(engine="fast")
+        assert "engine" not in SimTask(
+            label="t", workload=wl, capacity=CAPACITY
+        ).canonical()
+
+    def test_engine_flags_rejected(self, capsys):
+        from repro.experiments.__main__ import main as experiments_main
+
+        for argv in (
+            ["simulate", "t.swf", "--engine", "fast"],
+            ["profile", "t.swf", "--engine", "fast"],
+            ["fuzz", "--engine", "fast"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+        with pytest.raises(SystemExit) as exc:
+            experiments_main(["table2", "--engine", "fast"])
+        assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
     def test_fast_dispatches_faults(self):
-        """simulate(engine="fast", faults=...) routes to the fault twin
-        and matches the reference fault engine bit for bit."""
+        """simulate(faults=...) routes to the fault twin and matches the
+        reference fault engine bit for bit."""
         wl = self._wl()
         cfg = FaultConfig(node_mtbf=3600.0, n_nodes=4, seed=2)
-        via_dispatch = simulate(
-            wl, CAPACITY, faults=cfg, engine="fast", track_queue=True
-        )
+        via_dispatch = simulate(wl, CAPACITY, faults=cfg, track_queue=True)
         direct = simulate_fast_with_faults(
             wl, CAPACITY, faults=cfg, track_queue=True
         )
@@ -524,78 +549,24 @@ class TestEngineDispatch:
         wl = self._wl()
         tracer = RingBufferTracer(capacity=1 << 16)
         metrics = Metrics()
-        res = simulate_fast(wl, CAPACITY, tracer=tracer, metrics=metrics)
+        res = simulate(wl, CAPACITY, tracer=tracer, metrics=metrics)
         assert check_events(tracer.events) == []
         payload = metrics.to_dict()
         assert payload["counters"]["sim_jobs_started_total"] == len(wl.submit)
-        _assert_identical(res, simulate_fast(wl, CAPACITY))
+        _assert_identical(res, simulate(wl, CAPACITY))
 
     def test_fast_accepts_profiler(self):
         from repro.obs import Profiler
 
         prof = Profiler()
-        simulate_fast(self._wl(), CAPACITY, profiler=prof)
+        simulate(self._wl(), CAPACITY, profiler=prof)
         report = prof.report()
         assert "simulate" in report
 
 
 class TestSweepWiring:
-    def test_engine_changes_fingerprint(self):
-        wl = random_workload(np.random.default_rng(6), capacity=CAPACITY)
-        easy = SimTask(label="t", workload=wl, capacity=CAPACITY)
-        fast = SimTask(
-            label="t", workload=wl, capacity=CAPACITY, engine="fast"
-        )
-        assert easy.fingerprint() != fast.fingerprint()
-
-    def test_sweep_payloads_identical_across_engines(self):
-        wl = _burst_workload(n=120, seed=9)
-        tasks = [
-            SimTask(
-                label=f"{p}/{e}",
-                workload=wl,
-                policy=p,
-                capacity=8,
-                track_queue=True,
-                engine=e,
-            )
-            for p in ("fcfs", "sjf")
-            for e in ("easy", "fast")
-        ]
-        by_label = {r.label: r for r in run_sweep(tasks)}
-        for p in ("fcfs", "sjf"):
-            easy = by_label[f"{p}/easy"]
-            fast = by_label[f"{p}/fast"]
-            assert easy.metrics == fast.metrics
-            assert easy.max_queue == fast.max_queue
-            assert easy.summary == fast.summary
-            assert easy.payload() == fast.payload()
-
-    def test_fault_sweep_payloads_identical_across_engines(self):
-        """Fault tasks run on either engine and produce identical cached
-        payloads — the fault-array dtype normalization is what keeps the
-        serialized bytes stable across the cache round trip."""
-        wl = random_workload(np.random.default_rng(8), capacity=CAPACITY)
-        cfg = FaultConfig(
-            node_mtbf=200.0, node_mttr=50.0, n_nodes=4,
-            fail_prob=0.2, max_attempts=3, seed=4,
-        )
-        tasks = [
-            SimTask(
-                label=e,
-                workload=wl,
-                capacity=CAPACITY,
-                faults=cfg,
-                track_queue=True,
-                engine=e,
-            )
-            for e in ("easy", "fast")
-        ]
-        by_label = {r.label: r for r in run_sweep(tasks)}
-        assert by_label["easy"].payload() == by_label["fast"].payload()
-
     def test_fault_task_round_trip_through_cache(self, tmp_path):
-        """A fast-engine fault task's payload survives the JSON cache."""
+        """A fault task's payload survives the JSON cache."""
         wl = random_workload(np.random.default_rng(9), capacity=CAPACITY)
         task = SimTask(
             label="rt",
@@ -603,7 +574,6 @@ class TestSweepWiring:
             capacity=CAPACITY,
             faults=FaultConfig(node_mtbf=300.0, n_nodes=4, seed=5),
             track_queue=True,
-            engine="fast",
         )
         cold = run_sweep([task], cache=tmp_path / "c")[0]
         warm = run_sweep([task], cache=tmp_path / "c")[0]
@@ -612,92 +582,77 @@ class TestSweepWiring:
 
 
 # ----------------------------------------------------------------------
-# fuzzer impl switch
+# fuzzer: every implementation of a configuration faces the oracle
 
 
 class TestFuzzImpl:
     def test_fast_campaign_clean(self):
         report = fuzz(
-            policies=("fcfs", "sjf", "easy", "sjf-easy"),
-            budget=40,
-            engine_impl="fast",
+            policies=("fcfs", "sjf", "easy", "sjf-easy"), budget=40
         )
         assert report.ok, report.describe()
-        assert report.engine_impl == "fast"
-        assert "fuzz[fast]" in report.describe()
+        assert report.runs == 40 * 4
 
     def test_fast_conservative_campaign_clean(self):
-        report = fuzz(
-            policies=("conservative",),
-            budget=30,
-            engine_impl="fast-conservative",
-        )
+        report = fuzz(policies=("conservative",), budget=30)
         assert report.ok, report.describe()
-        assert "fuzz[fast-conservative]" in report.describe()
 
     def test_fast_faults_campaign_clean(self):
-        report = fuzz(
-            policies=("fcfs", "easy"),
-            budget=6,
-            engine_impl="fast-faults",
-        )
+        """EASY-family cases include the fault-engine differential."""
+        report = fuzz(policies=("fcfs", "easy"), budget=6)
         assert report.ok, report.describe()
-        assert "fuzz[fast-faults]" in report.describe()
 
     def test_fast_rejects_conservative(self):
-        with pytest.raises(ValueError, match="no 'fast' implementation"):
-            fuzz(policies=("fcfs", "conservative"), engine_impl="fast")
-        with pytest.raises(ValueError, match="conservative"):
-            FUZZ_POLICIES["conservative"].run_engine(
-                random_workload(np.random.default_rng(0)),
-                CAPACITY,
-                impl="fast",
-            )
+        """The conservative configuration runs both conservative engines,
+        not the EASY engine."""
+        runs = FUZZ_POLICIES["conservative"].run_engines(
+            random_workload(np.random.default_rng(0)), CAPACITY
+        )
+        assert sorted(runs) == [
+            "simulate_conservative", "simulate_fast_conservative",
+        ]
 
     def test_fast_conservative_rejects_easy_family(self):
-        with pytest.raises(
-            ValueError, match="no 'fast-conservative' implementation"
-        ):
-            fuzz(policies=("fcfs",), engine_impl="fast-conservative")
+        """Every EASY-family configuration runs the one EASY engine."""
+        wl = random_workload(np.random.default_rng(0))
+        for policy in FUZZ_POLICIES.values():
+            if policy.engine == "easy":
+                assert list(policy.run_engines(wl, CAPACITY)) == ["simulate"]
 
-    def test_fast_faults_rejects_conservative(self):
-        with pytest.raises(
-            ValueError, match="no 'fast-faults' implementation"
-        ):
-            fuzz(policies=("conservative",), engine_impl="fast-faults")
+    def test_fast_faults_rejects_conservative(self, monkeypatch):
+        """The fault-engine differential runs for EASY-family cases only."""
+        # the package re-exports the fuzz() function under the module name
+        fuzz_mod = importlib.import_module("repro.testkit.fuzz")
+        calls = []
+        monkeypatch.setattr(
+            fuzz_mod, "_check_fault_case",
+            lambda *args: calls.append(args[2].name) or [],
+        )
+        wl = random_workload(np.random.default_rng(0), capacity=CAPACITY)
+        assert check_case(wl, CAPACITY, FUZZ_POLICIES["conservative"]) == []
+        assert check_case(wl, CAPACITY, FUZZ_POLICIES["easy"]) == []
+        assert calls == ["easy"]
 
     def test_unknown_impl_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine impl"):
-            fuzz(policies=("fcfs",), engine_impl="turbo")
-        with pytest.raises(ValueError, match="unknown engine impl"):
-            FUZZ_POLICIES["fcfs"].run_engine(
-                random_workload(np.random.default_rng(0)),
-                CAPACITY,
-                impl="turbo",
-            )
+        """The fuzzer takes no implementation argument: every case checks
+        every implementation of its configuration."""
+        wl = random_workload(np.random.default_rng(0), capacity=CAPACITY)
+        with pytest.raises(TypeError, match="engine_impl"):
+            fuzz(policies=("fcfs",), engine_impl="fast")
+        with pytest.raises(TypeError, match="impl"):
+            check_case(wl, CAPACITY, FUZZ_POLICIES["fcfs"], impl="fast")
 
     def test_check_case_fast(self):
         wl = random_workload(np.random.default_rng(3), capacity=CAPACITY)
-        assert check_case(wl, CAPACITY, FUZZ_POLICIES["easy"], impl="fast") == []
+        assert check_case(wl, CAPACITY, FUZZ_POLICIES["easy"]) == []
 
     def test_check_case_fast_conservative(self):
         wl = random_workload(np.random.default_rng(4), capacity=CAPACITY)
-        assert (
-            check_case(
-                wl, CAPACITY, FUZZ_POLICIES["conservative"],
-                impl="fast-conservative",
-            )
-            == []
-        )
+        assert check_case(wl, CAPACITY, FUZZ_POLICIES["conservative"]) == []
 
     def test_check_case_fast_faults(self):
         wl = random_workload(np.random.default_rng(5), capacity=CAPACITY)
-        assert (
-            check_case(
-                wl, CAPACITY, FUZZ_POLICIES["sjf-easy"], impl="fast-faults"
-            )
-            == []
-        )
+        assert check_case(wl, CAPACITY, FUZZ_POLICIES["sjf-easy"]) == []
 
 
 # ----------------------------------------------------------------------
@@ -714,122 +669,63 @@ def swf_path(tmp_path_factory):
 
 
 class TestCliEngineFlag:
-    def test_simulate_fast_matches_easy_table(self, swf_path, capsys):
-        assert main(["simulate", str(swf_path), "--policy", "fcfs,sjf"]) == 0
-        easy_out = capsys.readouterr().out
-        assert (
-            main(
-                [
-                    "simulate", str(swf_path),
-                    "--policy", "fcfs,sjf",
-                    "--engine", "fast",
-                ]
-            )
-            == 0
-        )
-        assert capsys.readouterr().out == easy_out
+    def test_trace_out_jsonl_and_npz_decode_identically(
+        self, swf_path, tmp_path, capsys
+    ):
+        """One run exported as JSONL and as columnar NPZ decodes to the
+        same event stream."""
+        from repro.obs import load_events
 
-    def test_fast_fault_run_matches_easy(self, swf_path, capsys):
-        """--engine fast with fault flags now runs (PR 10 lifted the
-        conflict) and prints the exact table the reference produces."""
-        args = ["simulate", str(swf_path), "--mtbf-hours", "5", "--retries", "2"]
-        assert main(args + ["--engine", "easy"]) == 0
-        easy_out = capsys.readouterr().out
-        assert main(args + ["--engine", "fast"]) == 0
-        assert capsys.readouterr().out == easy_out
-        assert "faults" in easy_out
-
-    def test_fast_trace_out_matches_easy(self, swf_path, tmp_path, capsys):
-        """--trace-out now works on the fast engine: the decoded columnar
-        stream must match the reference byte-for-byte modulo the
-        run_start engine provenance field."""
-        easy_path = tmp_path / "easy.jsonl"
-        fast_path = tmp_path / "fast.jsonl"
-        for engine, path in (("easy", easy_path), ("fast", fast_path)):
-            assert (
-                main(
-                    [
-                        "simulate", str(swf_path),
-                        "--engine", engine,
-                        "--trace-out", str(path),
-                    ]
-                )
-                == 0
-            )
+        jsonl = tmp_path / "events.jsonl"
+        npz = tmp_path / "events.npz"
+        for path in (jsonl, npz):
+            assert main(
+                ["simulate", str(swf_path), "--trace-out", str(path)]
+            ) == 0
         capsys.readouterr()
-        easy_lines = easy_path.read_text().splitlines()
-        fast_lines = fast_path.read_text().splitlines()
-        assert len(easy_lines) == len(fast_lines)
-        assert easy_lines[0].replace('"easy"', '"fast"') == fast_lines[0]
-        assert easy_lines[1:] == fast_lines[1:]
+        assert load_events(jsonl) == load_events(npz)
 
     def test_fast_profile_flag_ok(self, swf_path, capsys):
-        assert (
-            main(
-                [
-                    "simulate", str(swf_path),
-                    "--engine", "fast",
-                    "--profile",
-                ]
-            )
-            == 0
-        )
+        assert main(["simulate", str(swf_path), "--profile"]) == 0
         assert "simulate" in capsys.readouterr().out
 
     def test_profile_subcommand_fast(self, swf_path, capsys):
-        assert main(["profile", str(swf_path), "--engine", "fast"]) == 0
-        assert "hot-path" in capsys.readouterr().out
+        assert main(["profile", str(swf_path)]) == 0
+        out = capsys.readouterr().out
+        assert "hot-path" in out
+        assert "policy_sort" in out
 
     def test_fuzz_fast_smoke(self, capsys):
-        assert main(["fuzz", "--budget", "5", "--engine", "fast"]) == 0
+        assert main(
+            ["fuzz", "--budget", "5", "--policy", "fcfs,sjf,easy,sjf-easy"]
+        ) == 0
         out = capsys.readouterr().out
-        assert "fuzz[fast]" in out
+        assert "4 policy configuration(s)" in out
         assert "sjf-easy" not in out  # label only in divergences
         assert "ok:" in out
 
-    def test_fuzz_fast_rejects_conservative(self, capsys):
-        assert (
-            main(
-                [
-                    "fuzz", "--budget", "5",
-                    "--engine", "fast",
-                    "--policy", "conservative",
-                ]
-            )
-            == 2
-        )
-        err = capsys.readouterr().err
-        assert "conservative" in err
-        assert "fast-conservative" in err  # the message points at the twin
-
     def test_fuzz_fast_conservative_smoke(self, capsys):
-        assert main(["fuzz", "--budget", "5", "--engine", "fast-conservative"]) == 0
+        assert main(["fuzz", "--budget", "5", "--policy", "conservative"]) == 0
         out = capsys.readouterr().out
-        assert "fuzz[fast-conservative]" in out
+        assert "1 policy configuration(s)" in out
         assert "ok:" in out
 
     def test_fuzz_fast_faults_smoke(self, capsys):
-        assert main(["fuzz", "--budget", "2", "--engine", "fast-faults"]) == 0
+        """The default campaign covers every configuration."""
+        assert main(["fuzz", "--budget", "2"]) == 0
         out = capsys.readouterr().out
-        assert "fuzz[fast-faults]" in out
+        assert f"{len(FUZZ_POLICIES)} policy configuration(s)" in out
         assert "ok:" in out
 
-    def test_metrics_out_payload_identical(self, swf_path, tmp_path, capsys):
-        """--metrics-out on the fast engine writes the exact payload the
-        reference engine would (instrument-for-instrument, sample-for-
+    def test_metrics_out_payload_identical(
+        self, swf_path, tmp_path, capsys, reference_golden
+    ):
+        """--metrics-out writes, byte for byte, the file the reference
+        loop wrote for this trace (instrument-for-instrument, sample-for-
         sample)."""
-        easy_path = tmp_path / "easy.json"
-        fast_path = tmp_path / "fast.json"
-        for engine, path in (("easy", easy_path), ("fast", fast_path)):
-            assert (
-                main(
-                    [
-                        "simulate", str(swf_path),
-                        "--engine", engine,
-                        "--metrics-out", str(path),
-                    ]
-                )
-                == 0
-            )
+        path = tmp_path / "metrics.json"
+        assert main(
+            ["simulate", str(swf_path), "--metrics-out", str(path)]
+        ) == 0
         capsys.readouterr()
-        assert easy_path.read_text() == fast_path.read_text()
+        assert path.read_text() == reference_golden["cli_metrics_out"]
