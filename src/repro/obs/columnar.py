@@ -1,6 +1,6 @@
 """Columnar (structure-of-arrays) event recording.
 
-The reference engines emit one typed dict per event through a
+The readable reference loops emit one typed dict per event through a
 ``Tracer`` (see :mod:`repro.obs.tracer`).  That is perfect for a
 readable Python loop and hopeless for the vectorized fast engine,
 whose hot path must not build a dict per decision.  This module closes
@@ -14,7 +14,7 @@ drain uses).
 
 Decoding is exact, not approximate: :meth:`ColumnarRecorder.to_events`
 reproduces the *identical* dict stream — same kinds, same fields, same
-key order, same float values — that the reference engine hands to
+key order, same float values — that a per-event ``emit`` hands to
 ``JsonlTracer``, so ``check_events``, ``utilization_series``,
 ``render_timeline`` and :mod:`repro.obs.analyze` work unchanged on
 either source.  Events that do not fit the five hot-path layouts
@@ -59,7 +59,7 @@ KIND_CODE = {
 CODE_KIND = {code: kind for kind, code in KIND_CODE.items()}
 
 # The canonical context-key tuples of the five hot-path kinds, in the
-# exact order the reference engine passes them to ``Tracer.emit``.  An
+# exact order a per-event emitter passes them to ``Tracer.emit``.  An
 # emit whose keys match one of these (and whose job id is >= 0) is
 # encoded columnar; anything else goes to the overflow list.
 _HOT_KEYS = {
@@ -268,7 +268,7 @@ class ColumnarRecorder:
     # -- decode --------------------------------------------------------
 
     def to_events(self) -> list[dict]:
-        """Decode back to the reference engine's typed dict stream.
+        """Decode back to the typed dict stream ``Tracer.emit`` receives.
 
         Field names, key order and value types match ``Tracer.emit``'s
         output exactly, so ``json.dumps`` of a decoded event is byte-

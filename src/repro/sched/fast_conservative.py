@@ -41,7 +41,7 @@ reservation, including immediate starts), queue sampling at every round
 (before the empty-queue early-out), and the ``min(t_sub, t_fin)`` event
 clock all match the reference line for line; the equivalence argument is
 documented in ``docs/PERFORMANCE.md`` and enforced by
-``repro fuzz --engine fast-conservative`` plus the differential matrix in
+``repro fuzz --policy conservative`` plus the differential matrix in
 ``tests/test_fast_engine.py``.
 
 Instrumented runs (``tracer=`` / ``metrics=``) delegate to the reference

@@ -37,13 +37,13 @@ uses:
   backfill window test runs as the same masked argmax scan ``fast.py``
   uses.  Fair-share re-ranks after every
   served head (usage moves within a round) with a dense usage vector
-  that decays **without** the epsilon pruning ``engine.py`` applies —
+  that decays **without** the epsilon pruning ``fast.py`` applies —
   the reference fault engine never prunes, and ``0.5**(dt/half_life)``
   products must see the same operand history to match bitwise.
 
 Instrumented runs (``tracer=`` / ``metrics=``) delegate to the reference
 loop — identical results by the bit-identity contract, enforced by
-``repro fuzz --engine fast-faults`` and ``tests/test_fast_engine.py``;
+``repro fuzz`` (every EASY-family case) and ``tests/test_fast_engine.py``;
 ``profiler=`` gets coarse spans in the fast path.
 """
 
