@@ -3,14 +3,16 @@
 * ``test_bench_fast_100k`` times the EASY engine (:func:`simulate`) on
   the standard 100k-job diurnal workload (the perf-gate trajectory
   entry; the name predates the engine being the only one);
-* the conservative and fault twins get the same treatment:
-  ``test_bench_fast_conservative_100k`` / ``test_bench_fast_faults_100k``
-  time the vectorized engines alone (perf-gate trajectory entries), and
-  ``test_fast_conservative_speedup_100k`` /
-  ``test_fast_faults_speedup_100k`` assert a >= 5x floor against their
-  readable reference loops with identical ``to_dict()`` summaries.  Both
-  references do real per-event Python work the twins must reproduce
-  draw-for-draw (profile walks, RNG-driven fault state).
+* ``test_bench_fast_conservative_100k`` times the conservative engine
+  (:func:`simulate_conservative`) the same way; the name predates the
+  engine being the only one;
+* the fault twin gets the same treatment:
+  ``test_bench_fast_faults_100k`` times the vectorized engine alone
+  (perf-gate trajectory entry), and ``test_fast_faults_speedup_100k``
+  asserts a >= 5x floor against the readable reference loop with
+  identical ``to_dict()`` summaries.  The reference does real per-event
+  Python work the twin must reproduce draw-for-draw (RNG-driven fault
+  state).
 
 The workload generator thins a diurnal Poisson process, so the queue
 stays deep (mean ~1000 on the 100k config) but *bounded* — wall clock
@@ -28,7 +30,6 @@ from repro.sched import (
     SimWorkload,
     simulate,
     simulate_conservative,
-    simulate_fast_conservative,
     simulate_fast_with_faults,
     simulate_with_faults,
 )
@@ -36,7 +37,7 @@ from repro.sched import (
 #: the 100k perf-gate configuration
 BENCH_JOBS = 100_000
 BENCH_CAPACITY = 1024
-#: floor for the conservative / fault twins over their reference loops
+#: floor for the fault twin over its reference loop
 TWIN_SPEEDUP_FLOOR = 5.0
 
 #: calibrated 100k fault configuration: realistic node churn (MTBF ~70h
@@ -112,7 +113,7 @@ def _conservative_workload() -> SimWorkload:
     """Steady subcritical arrivals (no diurnal swing) for the
     conservative bench: every queued job holds a reservation, so profile
     and queue sizes couple — the diurnal peaks that the EASY benches
-    thrive on push *both* conservative engines superlinear.  A bounded
+    thrive on push the conservative engine superlinear.  A bounded
     queue of small jobs keeps the reservation profile dense (hundreds of
     overlapping spans) while wall clock stays linear in jobs."""
     return diurnal_workload(
@@ -121,40 +122,15 @@ def _conservative_workload() -> SimWorkload:
 
 
 def test_bench_fast_conservative_100k(benchmark):
-    """Perf-gate entry: the conservative twin alone on 100k jobs."""
+    """Perf-gate entry: the conservative engine on 100k jobs."""
     wl = _conservative_workload()
     result = benchmark.pedantic(
-        simulate_fast_conservative,
+        simulate_conservative,
         args=(wl, BENCH_CAPACITY, "fcfs"),
         rounds=3,
         iterations=1,
     )
     assert int((result.start >= 0).sum()) == BENCH_JOBS
-
-
-def test_fast_conservative_speedup_100k(record_property):
-    """>= 5x over the reference conservative engine at 100k jobs."""
-    wl = _conservative_workload()
-
-    t0 = time.perf_counter()
-    ref = simulate_conservative(wl, BENCH_CAPACITY, "fcfs")
-    ref_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    fast = simulate_fast_conservative(wl, BENCH_CAPACITY, "fcfs")
-    fast_s = time.perf_counter() - t0
-
-    assert np.array_equal(ref.start, fast.start)
-    assert np.array_equal(ref.promised, fast.promised, equal_nan=True)
-    assert ref.to_dict() == fast.to_dict()
-    speedup = ref_s / fast_s
-    record_property("reference_seconds", round(ref_s, 3))
-    record_property("fast_seconds", round(fast_s, 3))
-    record_property("speedup", round(speedup, 2))
-    assert speedup >= TWIN_SPEEDUP_FLOOR, (
-        f"conservative twin only {speedup:.1f}x over reference "
-        f"(ref {ref_s:.2f}s, fast {fast_s:.2f}s); floor {TWIN_SPEEDUP_FLOOR}x"
-    )
 
 
 def test_bench_fast_faults_100k(benchmark):

@@ -756,19 +756,18 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     from .testkit import FUZZ_POLICIES, fuzz, workload_to_trace
     from .traces.swf import format_swf_lines
 
-    if args.policy is None:
-        policies = list(FUZZ_POLICIES)
-    else:
+    policies = None
+    if args.policy is not None:
         policies = [p.strip() for p in args.policy.split(",") if p.strip()]
-    unknown = [p for p in policies if p not in FUZZ_POLICIES]
-    if not policies or unknown:
-        print(
-            f"--policy needs a comma-separated subset of "
-            f"{sorted(FUZZ_POLICIES)}"
-            + (f"; unknown: {unknown}" if unknown else ""),
-            file=sys.stderr,
-        )
-        return 2
+        unknown = [p for p in policies if p not in FUZZ_POLICIES]
+        if not policies or unknown:
+            print(
+                f"--policy needs a comma-separated subset of "
+                f"{sorted(FUZZ_POLICIES)}"
+                + (f"; unknown: {unknown}" if unknown else ""),
+                file=sys.stderr,
+            )
+            return 2
     if args.budget < 1 or args.capacity < 1 or args.max_jobs < 2:
         print(
             "--budget and --capacity must be >= 1, --max-jobs >= 2",
@@ -1155,7 +1154,8 @@ def main(argv: list[str] | None = None) -> int:
         help="comma-separated configurations to fuzz "
         "(fcfs/sjf = pure queue order, easy = FCFS+EASY backfill, "
         "<policy>-easy = that queue policy + EASY, e.g. sjf-easy or "
-        "fairshare-easy, conservative = conservative backfill); "
+        "fairshare-easy, conservative = FCFS+conservative backfill, "
+        "<policy>-conservative = sjf or wfp3 + conservative backfill); "
         "default: every configuration (docs/TESTING.md)",
     )
     p.add_argument(

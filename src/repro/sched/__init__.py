@@ -15,7 +15,6 @@ from .conservative import simulate_conservative
 from .engine import SimResult, simulate
 from .export import result_to_trace
 from .fast import simulate_fast
-from .fast_conservative import simulate_fast_conservative
 from .fast_faults import simulate_fast_with_faults
 from .faults import (
     NO_FAULTS,
@@ -38,7 +37,6 @@ from .metrics import (
 from .nodes import NodeCluster, PackedSimResult, simulate_packed
 from .policies import POLICIES, FairSharePolicy, Policy, get_policy
 from .predictive import PredictiveOutcome, simulate_with_predictions
-from .profile import CapacityProfile
 from .virtual import (
     VirtualClusterResult,
     isolation_cost,
@@ -48,7 +46,6 @@ from .virtual import (
 __all__ = [
     "simulate",
     "simulate_fast",
-    "simulate_fast_conservative",
     "simulate_fast_with_faults",
     "simulate_conservative",
     "simulate_with_faults",
@@ -64,7 +61,6 @@ __all__ = [
     "VirtualClusterResult",
     "PredictiveOutcome",
     "isolation_cost",
-    "CapacityProfile",
     "NodeCluster",
     "PackedSimResult",
     "simulate_packed",

@@ -1,8 +1,7 @@
 """Vectorized fault-injection engine (fast twin of
 :func:`repro.sched.faults.simulate_with_faults`).
 
-Same deal as :mod:`repro.sched.fast` and
-:mod:`repro.sched.fast_conservative`: **bit-identical results**, flat
+Same deal as :mod:`repro.sched.fast`: **bit-identical results**, flat
 data.  The failure/retry state machine of :class:`_FaultState` and
 :class:`FaultyCluster` is re-expressed as array-level masks and scalar
 list mirrors over the same job-indexed state arrays the EASY rewrite

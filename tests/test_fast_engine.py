@@ -2,10 +2,11 @@
 
 :mod:`repro.sched.fast` is the EASY-family engine behind
 :func:`repro.sched.simulate`; its reference is the O(n²) oracle
-(:mod:`repro.testkit.oracle`).  :mod:`repro.sched.fast_conservative` and
-:mod:`repro.sched.fast_faults` are vectorized twins of the conservative and
-fault-injecting reference loops.  The one shared contract is
-**bit-identical results** (docs/PERFORMANCE.md).  This suite enforces it:
+(:mod:`repro.testkit.oracle`), as it is for the conservative engine
+(:func:`repro.sched.simulate_conservative`).  :mod:`repro.sched.fast_faults`
+is a vectorized twin of the fault-injecting reference loop.  The one
+shared contract is **bit-identical results** (docs/PERFORMANCE.md).  This
+suite enforces it:
 
 * seeded differential matrices — every queue policy crossed with every
   backfill mode against the oracle on adversarial fuzz workloads
@@ -44,7 +45,6 @@ from repro.sched import (
     simulate,
     simulate_conservative,
     simulate_fast,
-    simulate_fast_conservative,
     simulate_fast_with_faults,
     simulate_with_faults,
 )
@@ -196,37 +196,52 @@ def _assert_fault_identical(ref, fast, label=""):
         ), f"{label}: {name}"
 
 
+def _conservative_oracle(workload, capacity, policy, **kw):
+    return oracle_simulate(
+        workload, capacity, policy, engine="conservative", **kw
+    )
+
+
 class TestFastConservativeMatchesReference:
+    """The conservative engine against the oracle, field by field; the
+    300-job bursts live in ``tests/goldens/conservative_policies.json``
+    (the oracle needs ~30 s per run there)."""
+
     def test_differential_matrix(self):
-        """Every queue policy on seeded adversarial workloads — the new
+        """Every queue policy on seeded adversarial workloads — the
         wide-job draws in ``random_workload`` force dense reservation
         chains through the profile rebuild."""
         for case in range(12):
             rng = np.random.default_rng((77, case))
             wl = random_workload(rng, capacity=CAPACITY)
             for policy in ALL_POLICIES:
-                ref = simulate_conservative(
+                ref = _conservative_oracle(
                     wl, CAPACITY, policy, track_queue=True
                 )
-                fast = simulate_fast_conservative(
+                fast = simulate_conservative(
                     wl, CAPACITY, policy, track_queue=True
                 )
                 _assert_identical(ref, fast, f"case {case} {policy}")
 
     def test_deep_queue_bursts(self):
-        wl = _burst_workload()
+        """Five bursts of 20 jobs on 8 cores: ~100-deep queues."""
+        wl = _burst_workload(n=100)
         for policy in ("fcfs", "sjf", "wfp3", "fairshare"):
-            ref = simulate_conservative(wl, 8, policy, track_queue=True)
-            fast = simulate_fast_conservative(wl, 8, policy, track_queue=True)
+            ref = _conservative_oracle(wl, 8, policy, track_queue=True)
+            fast = simulate_conservative(wl, 8, policy, track_queue=True)
             _assert_identical(ref, fast, policy)
 
     def test_kill_at_walltime(self):
-        wl = _burst_workload(seed=3)
+        """Halved walltimes, restored after construction (``SimWorkload``
+        clamps walltime >= runtime), so the kill clips real jobs."""
+        wl = _burst_workload(n=100, seed=3)
+        wl.walltime = wl.walltime * 0.5
+        assert np.any(wl.runtime > wl.walltime)
         for kill in (False, True):
-            ref = simulate_conservative(wl, 8, "sjf", kill_at_walltime=kill)
-            fast = simulate_fast_conservative(
-                wl, 8, "sjf", kill_at_walltime=kill
+            ref = _conservative_oracle(
+                wl.clipped_to_walltime() if kill else wl, 8, "sjf"
             )
+            fast = simulate_conservative(wl, 8, "sjf", kill_at_walltime=kill)
             _assert_identical(ref, fast, f"kill={kill}")
             assert ref.to_dict() == fast.to_dict()
 
@@ -239,10 +254,8 @@ class TestFastConservativeMatchesReference:
     def test_property_bit_identical_and_invariant(self, seed, policy, capacity):
         rng = np.random.default_rng(seed)
         wl = random_workload(rng, capacity=capacity)
-        ref = simulate_conservative(wl, capacity, policy, track_queue=True)
-        fast = simulate_fast_conservative(
-            wl, capacity, policy, track_queue=True
-        )
+        ref = _conservative_oracle(wl, capacity, policy, track_queue=True)
+        fast = simulate_conservative(wl, capacity, policy, track_queue=True)
         _assert_identical(ref, fast, f"{policy}@{capacity}")
         assert check_result(fast) == []
 
@@ -594,7 +607,10 @@ class TestFuzzImpl:
         assert report.runs == 40 * 4
 
     def test_fast_conservative_campaign_clean(self):
-        report = fuzz(policies=("conservative",), budget=30)
+        report = fuzz(
+            policies=("conservative", "sjf-conservative", "wfp3-conservative"),
+            budget=30,
+        )
         assert report.ok, report.describe()
 
     def test_fast_faults_campaign_clean(self):
@@ -603,14 +619,13 @@ class TestFuzzImpl:
         assert report.ok, report.describe()
 
     def test_fast_rejects_conservative(self):
-        """The conservative configuration runs both conservative engines,
-        not the EASY engine."""
-        runs = FUZZ_POLICIES["conservative"].run_engines(
-            random_workload(np.random.default_rng(0)), CAPACITY
-        )
-        assert sorted(runs) == [
-            "simulate_conservative", "simulate_fast_conservative",
-        ]
+        """Every conservative configuration runs the one conservative
+        engine, not the EASY engine."""
+        wl = random_workload(np.random.default_rng(0))
+        for policy in FUZZ_POLICIES.values():
+            if policy.engine == "conservative":
+                runs = policy.run_engines(wl, CAPACITY)
+                assert list(runs) == ["simulate_conservative"]
 
     def test_fast_conservative_rejects_easy_family(self):
         """Every EASY-family configuration runs the one EASY engine."""

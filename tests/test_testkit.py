@@ -233,11 +233,16 @@ class TestInvariantLibrary:
 # fuzz campaign (the ISSUE's acceptance bar)
 
 
+#: the configurations the long campaigns name, so their cost stays fixed
+#: as configurations are added (``fuzz()`` defaults to all of them)
+FOUR_CONFIGS = ("fcfs", "sjf", "easy", "conservative")
+
+
 class TestFuzzCampaign:
     @pytest.mark.timeout_s(600)
     def test_acceptance_200_workloads_per_policy(self):
         """200 fuzzed workloads x (fcfs, sjf, easy, conservative): clean."""
-        report = fuzz(budget=200, seed=0)
+        report = fuzz(policies=FOUR_CONFIGS, budget=200, seed=0)
         assert report.ok, report.describe()
         assert report.cases == 200
         assert report.runs == 200 * 4
@@ -248,8 +253,8 @@ class TestFuzzCampaign:
         assert report.ok, report.describe()
 
     def test_campaign_is_deterministic(self):
-        a = fuzz(budget=20, seed=42)
-        b = fuzz(budget=20, seed=42)
+        a = fuzz(policies=FOUR_CONFIGS, budget=20, seed=42)
+        b = fuzz(policies=FOUR_CONFIGS, budget=20, seed=42)
         assert a.ok and b.ok
         assert a.cases == b.cases and a.runs == b.runs
 
@@ -260,6 +265,11 @@ class TestFuzzCampaign:
     def test_bad_budget_rejected(self):
         with pytest.raises(ValueError):
             fuzz(budget=0)
+
+    def test_default_runs_every_configuration(self):
+        report = fuzz(budget=1)
+        assert report.ok, report.describe()
+        assert report.policies == tuple(FUZZ_POLICIES)
 
 
 def _mutated_simulate_fast(original: str, mutant: str):
