@@ -1,5 +1,6 @@
 """Shared test fixtures: a hand-rolled per-test wall-clock timeout, and
-the frozen output of the former reference EASY and conservative loops.
+the frozen output of the former reference EASY, conservative and fault
+loops.
 
 CI must fail fast on a hung test (e.g. a deadlocked ``multiprocessing``
 pool in the sweep-runner tests) instead of burning the job's whole
@@ -20,9 +21,10 @@ project's dependency set, so the guard is a plain ``SIGALRM`` fixture:
 ``reference_golden`` maps each case of
 ``tests/goldens/reference_streams.jsonl`` to its value: the event
 streams and metrics payloads the former readable reference loops
-emitted for the identity tests' inputs — the EASY loop's cases, and the
-conservative loop's under ``conservative/...`` — each written by its
-loop in the commit before that loop was deleted (``git log --
+emitted for the identity tests' inputs — the EASY loop's cases, the
+conservative loop's under ``conservative/...`` and the fault loop's
+under ``faults/...`` — each written by its loop in the commit before
+that loop was deleted (``git log --
 tests/goldens/reference_streams.jsonl``).  The identity tests compare
 the engines against this record rather than against the engines
 themselves, so it is never regenerated from an engine.

@@ -43,6 +43,7 @@ from repro.obs import (
 from repro.obs import events as ev
 from repro.sched import (
     EASY,
+    NO_BACKFILL,
     FaultConfig,
     SimWorkload,
     adaptive_relaxed,
@@ -52,6 +53,7 @@ from repro.sched import (
     simulate_with_faults,
 )
 from repro.testkit import random_workload
+from repro.testkit.fuzz import FUZZ_FAULT_CONFIGS
 
 CAPACITY = 16
 
@@ -552,6 +554,59 @@ def test_conservative_reference_streams(tmp_path, reference_golden):
     ``tests/goldens/reference_streams.jsonl``)."""
     got = _conservative_reference_cases(tmp_path)
     assert len(got) == 51
+    for name, value in got.items():
+        assert json.dumps(value) == json.dumps(reference_golden[name]), name
+
+
+# -------------------------------------------------------- frozen fault streams
+#: backfill mode of each ``faults/matrix/<seed>/...`` workload seed, so the
+#: frozen streams cover strict, relaxed, adaptive and disabled backfilling
+FAULT_STREAM_BACKFILLS = (EASY, relaxed(0.5), adaptive_relaxed(0.4), NO_BACKFILL)
+
+
+def _fault_stream(workload, policy, backfill, cfg):
+    """Decoded event stream of one traced fault-injected run."""
+    rec = ColumnarRecorder()
+    simulate_with_faults(workload, CAPACITY, policy, backfill, cfg, tracer=rec)
+    return rec.to_events()
+
+
+def _fault_reference_cases(tmp_path) -> dict:
+    """What the fault engine emits for every ``faults/...`` case of the
+    frozen stream record: every active configuration of the fuzz matrix
+    on four workloads, one JSONL file and two metrics payloads."""
+    cases = {}
+    for seed, backfill in enumerate(FAULT_STREAM_BACKFILLS):
+        wl = random_workload(np.random.default_rng((98, seed)), capacity=CAPACITY)
+        for policy in ("fcfs", "sjf", "wfp3", "fairshare"):
+            for idx, cfg in enumerate(FUZZ_FAULT_CONFIGS):
+                if cfg.is_null:
+                    continue
+                cases[f"faults/matrix/{seed}/{policy}/{idx}"] = _fault_stream(
+                    wl, policy, backfill, cfg
+                )
+    path = tmp_path / "faults.jsonl"
+    with JsonlTracer(path) as tracer:
+        simulate_with_faults(
+            make_workload(n=100, seed=11), CAPACITY, "sjf", EASY, FAULTS,
+            tracer=tracer,
+        )
+    cases["faults/jsonl_tracer"] = path.read_text()
+    wl = make_workload(n=150, seed=7)
+    for policy in ("fcfs", "sjf"):
+        metrics = Metrics(sample_interval=250.0)
+        simulate_with_faults(wl, CAPACITY, policy, EASY, FAULTS, metrics=metrics)
+        cases[f"faults/metrics/{policy}"] = metrics.to_dict()
+    return cases
+
+
+def test_fault_reference_streams(tmp_path, reference_golden):
+    """The fault engine emits, byte for byte, the event streams, JSONL
+    file and metrics payloads the former readable reference fault loop
+    emitted for the same inputs (frozen in
+    ``tests/goldens/reference_streams.jsonl``)."""
+    got = _fault_reference_cases(tmp_path)
+    assert len(got) == 67
     for name, value in got.items():
         assert json.dumps(value) == json.dumps(reference_golden[name]), name
 
