@@ -49,10 +49,11 @@ from .invariants import (
     check_result,
     max_concurrent_usage,
 )
-from .oracle import ORACLE_POLICIES, oracle_simulate
+from .oracle import ORACLE_POLICIES, oracle_simulate, oracle_simulate_with_faults
 
 __all__ = [
     "oracle_simulate",
+    "oracle_simulate_with_faults",
     "ORACLE_POLICIES",
     "check_result",
     "check_fault_result",
