@@ -20,7 +20,6 @@ import numpy as np
 from repro.obs import Metrics, NullProgress, PerfConfig, Profiler, RingBufferTracer
 from repro.runner import SimTask, WorkloadSpec, run_sweep
 from repro.sched import EASY, simulate, workload_from_trace
-from repro.sched.cluster import Cluster
 from repro.sched.policies import get_policy
 from repro.traces.synth import generate_trace
 
@@ -36,6 +35,44 @@ SWEEP_NOOP_RATIO_LIMIT = 1.05
 PERF_TRACE_RATIO_LIMIT = 1.05
 
 
+class _BaselinePool:
+    """The flat core pool the pre-observability engine allocated from:
+    a free count plus a running table whose expected-end order is
+    rebuilt lazily for the reservation walk (frozen with the baseline)."""
+
+    __slots__ = ("free", "_running", "_sorted_cache")
+
+    def __init__(self, capacity):
+        self.free = int(capacity)
+        self._running = {}  # job -> (expected end, cores)
+        self._sorted_cache = None
+
+    def can_start(self, cores):
+        return cores <= self.free
+
+    def start(self, job, cores, expected_end):
+        self.free -= cores
+        self._running[job] = (expected_end, cores)
+        self._sorted_cache = None
+
+    def finish(self, job):
+        _end, cores = self._running.pop(job)
+        self.free += cores
+        self._sorted_cache = None
+
+    def reservation(self, cores, now):
+        if cores <= self.free:
+            return now, self.free - cores
+        if self._sorted_cache is None:
+            self._sorted_cache = sorted(self._running.values())
+        free = self.free
+        for end, c in self._sorted_cache:
+            free += c
+            if free >= cores:
+                return max(end, now), free - cores
+        raise RuntimeError(f"reservation impossible: {cores} cores")
+
+
 def _baseline_simulate(workload, capacity, backfill=EASY):
     """Pre-observability EASY engine (fcfs), kept for overhead comparison."""
     policy = get_policy("fcfs")
@@ -45,7 +82,7 @@ def _baseline_simulate(workload, capacity, backfill=EASY):
     walltime = workload.walltime
     runtime = workload.runtime
 
-    cluster = Cluster(capacity)
+    cluster = _BaselinePool(capacity)
     start = np.full(n, -1.0)
     promised = np.full(n, np.nan)
     backfilled = np.zeros(n, dtype=bool)

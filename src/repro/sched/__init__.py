@@ -10,20 +10,11 @@ a differential workload fuzzer with reproducer shrinking
 """
 
 from .backfill import EASY, NO_BACKFILL, BackfillConfig, adaptive_relaxed, relaxed
-from .cluster import Cluster
 from .conservative import simulate_conservative
 from .engine import SimResult, simulate
 from .export import result_to_trace
 from .fast import simulate_fast
-from .fast_faults import simulate_fast_with_faults
-from .faults import (
-    NO_FAULTS,
-    FaultConfig,
-    FaultSimResult,
-    FaultyCluster,
-    simulate_packed_with_faults,
-    simulate_with_faults,
-)
+from .faults import NO_FAULTS, FaultConfig, FaultSimResult, simulate_with_faults
 from .job import SimWorkload, workload_from_trace
 from .metrics import (
     BSLD_BOUND,
@@ -46,13 +37,10 @@ from .virtual import (
 __all__ = [
     "simulate",
     "simulate_fast",
-    "simulate_fast_with_faults",
     "simulate_conservative",
     "simulate_with_faults",
-    "simulate_packed_with_faults",
     "FaultConfig",
     "FaultSimResult",
-    "FaultyCluster",
     "NO_FAULTS",
     "ResilienceMetrics",
     "compute_resilience_metrics",
@@ -68,7 +56,6 @@ __all__ = [
     "result_to_trace",
     "SimWorkload",
     "workload_from_trace",
-    "Cluster",
     "Policy",
     "FairSharePolicy",
     "POLICIES",

@@ -7,8 +7,8 @@ reservation, and backfill around it per the configured
 :class:`~repro.sched.backfill.BackfillConfig`.
 
 :func:`simulate` runs the vectorized engine (:mod:`repro.sched.fast`), or
-its fault-injecting counterpart (:mod:`repro.sched.fast_faults`) when given
-a fault config.  The readable specification of the same semantics is the
+its fault-injecting counterpart (:mod:`repro.sched.faults`) when given a
+fault config.  The readable specification of the same semantics is the
 O(n²) oracle in :mod:`repro.testkit.oracle`, which the differential fuzzer
 (``repro fuzz``) holds the engine to bit for bit.  This module keeps the
 result type both share.
@@ -140,9 +140,9 @@ def simulate(
     faults:
         Optional :class:`~repro.sched.faults.FaultConfig`.  When given,
         the run goes through
-        :func:`~repro.sched.fast_faults.simulate_fast_with_faults` and
-        returns its :class:`~repro.sched.faults.FaultSimResult` (which
-        reduces to this engine's behaviour for a null config).
+        :func:`~repro.sched.faults.simulate_with_faults` and returns its
+        :class:`~repro.sched.faults.FaultSimResult` (which reduces to this
+        engine's behaviour for a null config).
     tracer:
         Optional :class:`~repro.obs.Tracer` receiving the decision log
         (recorded columnar, see :mod:`repro.obs.columnar`).
@@ -153,9 +153,9 @@ def simulate(
     """
     # imported here: both engines import SimResult from this module
     if faults is not None:
-        from .fast_faults import simulate_fast_with_faults
+        from .faults import simulate_with_faults
 
-        return simulate_fast_with_faults(
+        return simulate_with_faults(
             workload,
             capacity,
             policy,

@@ -325,8 +325,8 @@ def simulate_fast(
     finish_heap: list[tuple[float, int]] = []
     heappush = heapq.heappush
     heappop = heapq.heappop
-    # running jobs as a sorted list of (expected_end, cores): the same
-    # tuples Cluster._sorted_running() walks, maintained incrementally
+    # running jobs as a sorted list of (expected_end, cores), maintained
+    # incrementally: the order the oracle's reservation walk uses
     running: list[tuple[float, int]] = []
     exp_end = [0.0] * n
     observed_max_q = 0

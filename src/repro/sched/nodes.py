@@ -31,7 +31,7 @@ __all__ = ["NodeCluster", "PackedSimResult", "simulate_packed", "fragmentation_s
 class NodeCluster:
     """Nodes of equal GPU count; allocations respect node boundaries."""
 
-    __slots__ = ("n_nodes", "gpus_per_node", "free_per_node", "_alloc", "_down")
+    __slots__ = ("n_nodes", "gpus_per_node", "free_per_node", "_alloc")
 
     def __init__(self, n_nodes: int, gpus_per_node: int) -> None:
         if n_nodes <= 0 or gpus_per_node <= 0:
@@ -41,7 +41,6 @@ class NodeCluster:
         self.free_per_node = np.full(n_nodes, gpus_per_node, dtype=np.int64)
         # job -> list of (node, gpus) it holds
         self._alloc: dict[int, list[tuple[int, int]]] = {}
-        self._down = np.zeros(n_nodes, dtype=bool)
 
     @property
     def total_free(self) -> int:
@@ -97,32 +96,6 @@ class NodeCluster:
         free = self.free_per_node
         return int(free[free < min(probe, self.gpus_per_node)].sum())
 
-    def fail_node(self, node: int) -> list[int]:
-        """Take ``node`` down; returns the running jobs it killed.
-
-        A down node advertises zero free GPUs, so the packing rules skip
-        it without any extra checks until :meth:`repair_node`.
-        """
-        if self._down[node]:
-            return []
-        victims = [
-            j
-            for j, spans in self._alloc.items()
-            if any(nd == node for nd, _g in spans)
-        ]
-        for j in victims:
-            self.release(j)
-        self._down[node] = True
-        self.free_per_node[node] = 0
-        return victims
-
-    def repair_node(self, node: int) -> None:
-        """Bring a failed ``node`` back with all its GPUs free."""
-        if not self._down[node]:
-            return
-        self._down[node] = False
-        self.free_per_node[node] = self.gpus_per_node
-
 
 @dataclass
 class PackedSimResult:
@@ -152,25 +125,13 @@ def simulate_packed(
     n_nodes: int,
     gpus_per_node: int = 8,
     probe: int | None = None,
-    faults=None,
-):
+) -> PackedSimResult:
     """FCFS scheduling with node-packing constraints (no backfilling).
 
     Blocked heads block the queue (head-of-line), making the fragmentation
     cost visible; compare waits against the flat-pool simulator on the same
     workload to isolate the packing penalty.
-
-    With a non-null ``faults`` (:class:`~repro.sched.faults.FaultConfig`)
-    the run is delegated to
-    :func:`~repro.sched.faults.simulate_packed_with_faults` and returns its
-    :class:`~repro.sched.faults.FaultSimResult` instead.
     """
-    if faults is not None:
-        from .faults import simulate_packed_with_faults
-
-        return simulate_packed_with_faults(
-            workload, n_nodes, gpus_per_node, faults
-        )
     n = workload.n
     if n == 0:
         raise ValueError("empty workload")

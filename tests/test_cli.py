@@ -8,7 +8,10 @@ import pytest
 from repro.cli import main
 from repro.core.report import build_report, write_report
 from repro.core.study import CrossSystemStudy
+from repro.sched import fast
 from repro.traces.synth import generate_trace
+
+from .test_testkit import _mutated_simulate_fast
 
 
 @pytest.fixture(scope="module")
@@ -549,6 +552,14 @@ class TestCliProfile:
         assert "invalid output" in capsys.readouterr().err
 
 
+def _overcrediting_engine():
+    """The EASY engine with one phantom core credited at every shadow
+    time: a divergence the fuzzer must catch."""
+    return _mutated_simulate_fast(
+        "extra = acc - need\n", "extra = acc - need + 1\n"
+    )
+
+
 class TestCliFuzz:
     def test_clean_campaign_exits_zero(self, capsys):
         assert main(["fuzz", "--budget", "25", "--seed", "0"]) == 0
@@ -565,15 +576,8 @@ class TestCliFuzz:
     def test_divergence_exits_one_and_writes_reproducer(
         self, tmp_path, monkeypatch, capsys
     ):
-        from repro.sched.cluster import Cluster
-
-        real = Cluster.reservation
-
-        def buggy(self, cores, now):
-            shadow, extra = real(self, cores, now)
-            return shadow, extra + 1
-
-        monkeypatch.setattr(Cluster, "reservation", buggy)
+        real = fast.simulate_fast
+        monkeypatch.setattr(fast, "simulate_fast", _overcrediting_engine())
         out = tmp_path / "repro.swf"
         assert main(
             ["fuzz", "--budget", "50", "--seed", "0",
@@ -583,22 +587,12 @@ class TestCliFuzz:
         assert "divergence in policy 'easy'" in text
         assert f"wrote shrunk reproducer to {out}" in text
         # the reproducer is a loadable SWF replayable through simulate
-        monkeypatch.setattr(Cluster, "reservation", real)
+        monkeypatch.setattr(fast, "simulate_fast", real)
         capsys.readouterr()
         assert main(["simulate", str(out)]) == 0
 
     def test_divergence_without_out_prints_swf(self, monkeypatch, capsys):
-        from repro.sched.cluster import Cluster
-
-        real = Cluster.reservation
-        monkeypatch.setattr(
-            Cluster,
-            "reservation",
-            lambda self, cores, now: (
-                real(self, cores, now)[0],
-                real(self, cores, now)[1] + 1,
-            ),
-        )
+        monkeypatch.setattr(fast, "simulate_fast", _overcrediting_engine())
         assert main(
             ["fuzz", "--budget", "50", "--seed", "0", "--policy", "easy"]
         ) == 1
@@ -615,15 +609,7 @@ class TestCliFuzz:
         assert "--budget" in capsys.readouterr().err
 
     def test_out_parent_is_file_exits_two(self, tmp_path, monkeypatch, capsys):
-        from repro.sched.cluster import Cluster
-
-        real = Cluster.reservation
-
-        def buggy(self, cores, now):
-            shadow, extra = real(self, cores, now)
-            return shadow, extra + 1
-
-        monkeypatch.setattr(Cluster, "reservation", buggy)
+        monkeypatch.setattr(fast, "simulate_fast", _overcrediting_engine())
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
         assert main(

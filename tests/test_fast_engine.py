@@ -3,8 +3,8 @@
 :mod:`repro.sched.fast` is the EASY-family engine behind
 :func:`repro.sched.simulate`; its reference is the O(n²) oracle
 (:mod:`repro.testkit.oracle`), as it is for the conservative engine
-(:func:`repro.sched.simulate_conservative`).  :mod:`repro.sched.fast_faults`
-is a vectorized twin of the fault-injecting reference loop.  The one
+(:func:`repro.sched.simulate_conservative`) and, through the fault oracle,
+for the fault engine (:func:`repro.sched.simulate_with_faults`).  The one
 shared contract is **bit-identical results** (docs/PERFORMANCE.md).  This
 suite enforces it:
 
@@ -45,7 +45,6 @@ from repro.sched import (
     simulate,
     simulate_conservative,
     simulate_fast,
-    simulate_fast_with_faults,
     simulate_with_faults,
 )
 from repro.sched.engine import USAGE_EPS
@@ -54,6 +53,7 @@ from repro.testkit import (
     check_case,
     fuzz,
     oracle_simulate,
+    oracle_simulate_with_faults,
     random_workload,
 )
 from repro.testkit.fuzz import FUZZ_FAULT_CONFIGS
@@ -265,6 +265,9 @@ class TestFastConservativeMatchesReference:
 
 
 class TestFastFaultsMatchesReference:
+    """The fault engine against its reference, the fault oracle, on
+    every array of the result."""
+
     def test_differential_matrix(self):
         """Zero-failure and calibrated fault configs across policies and
         backfill modes; every array field of the result must match."""
@@ -277,10 +280,10 @@ class TestFastFaultsMatchesReference:
             ):
                 for policy in ALL_POLICIES:
                     for bf_name, bf in BACKFILLS.items():
-                        ref = simulate_with_faults(
+                        ref = oracle_simulate_with_faults(
                             wl, CAPACITY, policy, bf, cfg, track_queue=True
                         )
-                        fast = simulate_fast_with_faults(
+                        fast = simulate_with_faults(
                             wl, CAPACITY, policy, bf, cfg, track_queue=True
                         )
                         _assert_fault_identical(
@@ -289,14 +292,14 @@ class TestFastFaultsMatchesReference:
                         )
 
     def test_zero_failure_equals_plain_fast(self):
-        """With NO_FAULTS the fault twin reduces to the plain fast engine
+        """With NO_FAULTS the fault engine reduces to the plain engine
         (one attempt per job, identical schedule and queue samples)."""
         for case in range(6):
             rng = np.random.default_rng((89, case))
             wl = random_workload(rng, capacity=CAPACITY)
             for policy in ("fcfs", "sjf", "fairshare"):
                 plain = simulate(wl, CAPACITY, policy, EASY, track_queue=True)
-                faulty = simulate_fast_with_faults(
+                faulty = simulate_with_faults(
                     wl, CAPACITY, policy, EASY, NO_FAULTS, track_queue=True
                 )
                 for name in (
@@ -317,21 +320,23 @@ class TestFastFaultsMatchesReference:
             rng = np.random.default_rng((90, case))
             wl = random_workload(rng, capacity=CAPACITY)
             for cfg in FUZZ_FAULT_CONFIGS:
-                res = simulate_fast_with_faults(
-                    wl, CAPACITY, "fcfs", EASY, cfg
-                )
+                res = simulate_with_faults(wl, CAPACITY, "fcfs", EASY, cfg)
                 saw_retry |= bool(np.any(res.attempts > 1))
                 saw_node_fail |= len(res.node_fail_times) > 0
         assert saw_retry and saw_node_fail
 
     def test_kill_at_walltime(self):
+        """Halved walltimes, restored after construction, so the kill
+        clips real jobs before the faults strike."""
         wl = _burst_workload(seed=5)
+        wl.walltime = wl.walltime * 0.5
+        assert np.any(wl.runtime > wl.walltime)
         for kill in (False, True):
-            ref = simulate_with_faults(
-                wl, 8, "sjf", EASY, CALIBRATED_FAULTS,
-                kill_at_walltime=kill,
+            ref = oracle_simulate_with_faults(
+                wl.clipped_to_walltime() if kill else wl, 8, "sjf", EASY,
+                CALIBRATED_FAULTS,
             )
-            fast = simulate_fast_with_faults(
+            fast = simulate_with_faults(
                 wl, 8, "sjf", EASY, CALIBRATED_FAULTS,
                 kill_at_walltime=kill,
             )
@@ -354,10 +359,10 @@ class TestFastFaultsMatchesReference:
         rng = np.random.default_rng(seed)
         wl = random_workload(rng, capacity=capacity)
         cfg = FUZZ_FAULT_CONFIGS[cfg_index]
-        ref = simulate_with_faults(
+        ref = oracle_simulate_with_faults(
             wl, capacity, policy, EASY, cfg, track_queue=True
         )
-        fast = simulate_fast_with_faults(
+        fast = simulate_with_faults(
             wl, capacity, policy, EASY, cfg, track_queue=True
         )
         _assert_fault_identical(ref, fast, f"{policy}@{capacity}[{cfg_index}]")
@@ -431,9 +436,9 @@ class TestQueueSampleDtypes:
         self._check(res)
 
     def test_fault_array_dtypes_canonical(self):
-        """Every FaultSimResult array carries its canonical dtype on both
-        engines — __post_init__ pins them, so a platform-default int32
-        can never leak into a cached payload."""
+        """Every FaultSimResult array carries its canonical dtype from the
+        engine and the oracle — __post_init__ pins them, so a
+        platform-default int32 can never leak into a cached payload."""
         from repro.sched.faults import FaultSimResult
 
         expected = dict(FaultSimResult._ARRAY_DTYPES)
@@ -442,7 +447,7 @@ class TestQueueSampleDtypes:
         cfg = FaultConfig(node_mtbf=200.0, n_nodes=4, fail_prob=0.2, seed=6)
         for res in (
             simulate_with_faults(wl, CAPACITY, "fcfs", EASY, cfg, track_queue=True),
-            simulate_fast_with_faults(wl, CAPACITY, "fcfs", EASY, cfg, track_queue=True),
+            oracle_simulate_with_faults(wl, CAPACITY, "fcfs", EASY, cfg, track_queue=True),
         ):
             for name, dtype in expected.items():
                 assert getattr(res, name).dtype == dtype, name
@@ -542,15 +547,15 @@ class TestEngineDispatch:
         assert "--engine" in capsys.readouterr().err
 
     def test_fast_dispatches_faults(self):
-        """simulate(faults=...) routes to the fault twin and matches the
-        reference fault engine bit for bit."""
+        """simulate(faults=...) routes to the fault engine and matches the
+        fault oracle bit for bit."""
         wl = self._wl()
         cfg = FaultConfig(node_mtbf=3600.0, n_nodes=4, seed=2)
         via_dispatch = simulate(wl, CAPACITY, faults=cfg, track_queue=True)
-        direct = simulate_fast_with_faults(
+        direct = simulate_with_faults(
             wl, CAPACITY, faults=cfg, track_queue=True
         )
-        reference = simulate_with_faults(
+        reference = oracle_simulate_with_faults(
             wl, CAPACITY, faults=cfg, track_queue=True
         )
         _assert_fault_identical(via_dispatch, direct, "dispatch vs direct")

@@ -9,21 +9,19 @@ from repro.sched import (
     EASY,
     NO_FAULTS,
     FaultConfig,
-    FaultyCluster,
-    NodeCluster,
     SimWorkload,
     simulate,
-    simulate_packed,
-    simulate_packed_with_faults,
     simulate_with_faults,
     workload_from_trace,
 )
+from repro.obs import RingBufferTracer
 from repro.sched.faults import (
     ATTEMPT_COMPLETED,
     ATTEMPT_FAILED,
     ATTEMPT_NODE_KILLED,
     ATTEMPT_USER_KILLED,
 )
+from repro.testkit import oracle_simulate_with_faults
 from repro.traces.schema import JobStatus
 from repro.traces.synth import generate_trace
 
@@ -123,63 +121,110 @@ class TestStatusPropagation:
         assert np.array_equal(wl.slice(2).status, np.array([0, 1]))
 
 
+def _first_failures(res) -> dict[int, float]:
+    """node -> instant of its first failure in a fault run."""
+    first: dict[int, float] = {}
+    for t, node in zip(res.node_fail_times, res.node_fail_nodes):
+        first.setdefault(int(node), float(t))
+    return first
+
+
 class TestFaultyCluster:
+    """The node layout of the flat pool: capacity split, first-fit
+    pinning, kills, repairs and the degraded hold, seen through hand-built
+    ``simulate_with_faults`` runs (and the oracle, which must agree)."""
+
+    #: fast churn, one attempt per job: every long job dies with the
+    #: first failure of a node it holds units on
+    CHURN = dict(node_mtbf=100.0, node_mttr=10.0, max_attempts=1)
+
+    def _run(self, wl, capacity, cfg, tracer=None):
+        res = simulate_with_faults(
+            wl, capacity, "fcfs", EASY, cfg, track_queue=True, tracer=tracer
+        )
+        ref = oracle_simulate_with_faults(
+            wl, capacity, "fcfs", EASY, cfg, track_queue=True
+        )
+        for name in ("start", "end", "status", "attempt_job", "node_fail_times"):
+            assert np.array_equal(getattr(res, name), getattr(ref, name)), name
+        return res
+
     def test_capacity_split(self):
-        cl = FaultyCluster(10, 4)
-        assert cl.node_size.tolist() == [3, 3, 2, 2]
-        assert cl.free == 10
-        assert cl.up_capacity == 10
+        # 10 units over 4 nodes are 3 + 3 + 2 + 2: jobs of exactly those
+        # sizes pin one to a node, so each dies with its own node only
+        wl = make_workload([0, 0, 0, 0], [3, 3, 2, 2], [1e6] * 4)
+        cfg = FaultConfig(**self.CHURN, n_nodes=4, seed=0)
+        res = self._run(wl, 10, cfg)
+        assert np.all(res.start == 0.0)
+        first = _first_failures(res)
+        assert res.end.tolist() == [first[k] for k in range(4)]
+        assert np.all(res.status == int(JobStatus.KILLED))
 
     def test_fail_kills_exactly_the_span_holders(self):
-        cl = FaultyCluster(8, 2)  # nodes of 4 + 4
-        cl.start(0, 4, 100.0)  # fills node 0
-        cl.start(1, 2, 100.0)  # lands on node 1
-        victims = cl.fail_node(1)
-        assert victims == [1]
-        # job 0 still holds all of node 0; node 1's units are gone
-        assert cl.free == 0
-        assert cl.up_capacity == 4
-        cl.finish(0)
-        assert cl.free == 4
+        # job 0 fills node 0 (4 units); job 1 holds 2 of node 1's 4
+        wl = make_workload([0, 0], [4, 2], [1e6, 1e6])
+        for seed in range(4):
+            cfg = FaultConfig(**self.CHURN, n_nodes=2, seed=seed)
+            tracer = RingBufferTracer()
+            res = self._run(wl, 8, cfg, tracer)
+            fail = next(e for e in tracer.events if e["kind"] == "node_fail")
+            # only the failed node's holder dies; the other keeps its units
+            assert fail["victims"] == [fail["node"]]
+            assert fail["free"] == (2 if fail["node"] == 0 else 0)
+            first = _first_failures(res)
+            assert res.end.tolist() == [first[0], first[1]]
 
     def test_spanning_job_dies_with_either_node(self):
-        cl = FaultyCluster(8, 2)
-        cl.start(0, 6, 100.0)  # spans node 0 (4) + node 1 (2)
-        assert cl.fail_node(1) == [0]
-        assert cl.free == 4  # node 0 fully free again, node 1 down
+        wl = make_workload([0], [6], [1e6])  # node 0 (4) + node 1 (2)
+        killers = set()
+        for seed in range(6):
+            cfg = FaultConfig(**self.CHURN, n_nodes=2, seed=seed)
+            tracer = RingBufferTracer()
+            res = self._run(wl, 8, cfg, tracer)
+            fail = next(e for e in tracer.events if e["kind"] == "node_fail")
+            killers.add(fail["node"])
+            assert fail["victims"] == [0]
+            assert fail["free"] == 4  # the surviving node is fully free again
+            assert res.end[0] == res.node_fail_times[0]
+        assert killers == {0, 1}
 
     def test_repair_restores_capacity(self):
-        cl = FaultyCluster(8, 2)
-        cl.fail_node(0)
-        assert cl.free == 4
-        cl.repair_node(0)
-        assert cl.free == 8
-        # double fail/repair are no-ops
-        cl.repair_node(0)
-        assert cl.free == 8
+        # the whole-machine job's retry can only start once the failed
+        # node is back with all its units
+        wl = make_workload([0], [8], [1e6])
+        cfg = FaultConfig(
+            node_mtbf=1e5, node_mttr=50.0, n_nodes=2, max_attempts=2,
+            backoff_base=1.0, seed=3,
+        )
+        tracer = RingBufferTracer()
+        res = self._run(wl, 8, cfg, tracer)
+        repair = next(e for e in tracer.events if e["kind"] == "node_repair")
+        assert repair["free"] == 8
+        assert res.attempt_start[1] == repair["t"] == res.node_repair_times[0]
 
     def test_reservation_infinite_while_too_degraded(self):
-        cl = FaultyCluster(8, 2)
-        cl.fail_node(0)
-        shadow, extra = cl.reservation(8, 0.0)
-        assert math.isinf(shadow)
-        cl.repair_node(0)
-        shadow, _ = cl.reservation(8, 0.0)
-        assert math.isfinite(shadow)
-
-
-class TestNodeClusterFaults:
-    def test_fail_and_repair(self):
-        cl = NodeCluster(2, 8)
-        cl.place(0, 8)  # whole node
-        cl.place(1, 4)
-        failed_node = cl._alloc[0][0][0]
-        victims = cl.fail_node(failed_node)
-        assert victims == [0]
-        assert cl.total_free == 4  # the other node still holds job 1
-        assert not cl.can_place(8)  # no empty node while one is down
-        cl.repair_node(failed_node)
-        assert cl.can_place(8)
+        # while a node is down the 8-unit head needs more than the healthy
+        # machine has: no reservation, no promise and no backfill, so a
+        # 1-core job submitted meanwhile leaves the 4 healthy units idle
+        # and waits past the repair (where the head restarts first)
+        cfg = FaultConfig(
+            node_mtbf=1e5, node_mttr=50.0, n_nodes=2, max_attempts=2,
+            backoff_base=1.0, seed=3,
+        )
+        alone = self._run(make_workload([0], [8], [1e6]), 8, cfg)
+        fail, repair = alone.node_fail_times[0], alone.node_repair_times[0]
+        wl = make_workload([0, (fail + repair) / 2], [8, 1], [1e6, 5.0])
+        tracer = RingBufferTracer()
+        res = self._run(wl, 8, cfg, tracer)
+        fail_event = next(e for e in tracer.events if e["kind"] == "node_fail")
+        assert fail_event["free"] == 4
+        assert res.attempt_start[1] == repair  # the head's retry
+        assert res.start[1] >= repair > wl.submit[1]
+        assert np.isnan(res.promised[0])
+        assert not [
+            e for e in tracer.events
+            if e["kind"] == "reservation" and e["t"] < repair
+        ]
 
 
 class TestIntrinsicFaults:
@@ -271,44 +316,6 @@ class TestNodeFailureProcess:
         assert res.status[0] == int(JobStatus.KILLED)
         assert res.attempt_outcome[0] == ATTEMPT_NODE_KILLED
         assert res.completed.sum() == 0
-
-
-class TestPackedFaults:
-    def test_null_config_matches_simulate_packed(self):
-        rng = np.random.default_rng(0)
-        n = 40
-        wl = make_workload(
-            np.cumsum(rng.exponential(20.0, n)),
-            rng.integers(1, 16, n),
-            rng.exponential(300.0, n) + 1.0,
-        )
-        base = simulate_packed(wl, 4, 8)
-        res = simulate_packed_with_faults(wl, 4, 8, NO_FAULTS)
-        assert np.array_equal(res.start, base.start)
-        assert np.all(res.status == int(JobStatus.PASSED))
-
-    def test_faulty_packed_run_terminates_cleanly(self):
-        rng = np.random.default_rng(1)
-        n = 40
-        wl = make_workload(
-            np.cumsum(rng.exponential(20.0, n)),
-            rng.integers(1, 16, n),
-            rng.exponential(300.0, n) + 1.0,
-        )
-        cfg = FaultConfig(
-            node_mtbf=500.0,
-            node_mttr=50.0,
-            max_attempts=3,
-            backoff_base=5.0,
-            seed=4,
-        )
-        res = simulate_packed_with_faults(wl, 4, 8, cfg)
-        assert np.all(res.status >= 0)
-        assert np.all(res.attempts >= 1)
-        assert (res.attempt_outcome == ATTEMPT_NODE_KILLED).any()
-        # via the simulate_packed facade too
-        res2 = simulate_packed(wl, 4, 8, faults=cfg)
-        assert np.array_equal(res.end, res2.end)
 
 
 class TestEngineFacade:

@@ -15,7 +15,6 @@ Covers the four pillars of :mod:`repro.testkit` (see ``docs/TESTING.md``):
 """
 
 import inspect
-import types
 
 import numpy as np
 import pytest
@@ -28,8 +27,8 @@ from repro.sched import (
     simulate,
     simulate_conservative,
 )
-from repro.sched import fast
-from repro.sched.cluster import Cluster
+from repro import sched
+from repro.sched import fast, faults
 from repro.sched.engine import SimResult
 from repro.sched.job import workload_from_trace
 from repro.testkit import (
@@ -272,17 +271,24 @@ class TestFuzzCampaign:
         assert report.policies == tuple(FUZZ_POLICIES)
 
 
-def _mutated_simulate_fast(original: str, mutant: str):
-    """``simulate_fast`` compiled from its own module source with the one
-    line ``original`` replaced by ``mutant`` (the EASY engine computes its
-    reservation inline, so there is no seam to monkeypatch)."""
-    source = inspect.getsource(fast)
+def _mutant(engine, original: str, mutant: str):
+    """The engine function ``engine`` compiled from its own source, in its
+    module's namespace, with the one line ``original`` replaced by
+    ``mutant`` (the engines compute their reservations inline, so there is
+    no seam to monkeypatch)."""
+    source = inspect.getsource(engine)
     assert source.count(original) == 1, "mutation site moved; update the test"
-    module = types.ModuleType("repro.sched.fast_mutant")
-    module.__package__ = "repro.sched"
-    code = compile(source.replace(original, mutant), fast.__file__, "exec")
-    exec(code, module.__dict__)
-    return module.simulate_fast
+    namespace = dict(engine.__globals__)
+    code = compile(
+        source.replace(original, mutant), inspect.getsourcefile(engine), "exec"
+    )
+    exec(code, namespace)
+    return namespace[engine.__name__]
+
+
+def _mutated_simulate_fast(original: str, mutant: str):
+    """``simulate_fast`` with one line mutated (see :func:`_mutant`)."""
+    return _mutant(fast.simulate_fast, original, mutant)
 
 
 class TestMutationDetection:
@@ -307,21 +313,23 @@ class TestMutationDetection:
         assert check_case(div.workload, report.capacity, FUZZ_POLICIES["easy"])
 
     def test_fault_reference_overcredit_caught(self, monkeypatch):
-        # the same off-by-one in Cluster.reservation reaches only the
-        # reference fault engine (sched/faults.py), which the fault-twin
-        # differential of every EASY configuration checks
-        real = Cluster.reservation
-
-        def buggy(self, cores, now):
-            shadow, extra = real(self, cores, now)
-            return shadow, extra + 1
-
-        monkeypatch.setattr(Cluster, "reservation", buggy)
+        # the same off-by-one in the fault engine's reservation walk; only
+        # the fault-oracle differential of every EASY configuration sees it
+        buggy = _mutant(
+            faults.simulate_with_faults,
+            "extra = acc - c_head\n", "extra = acc - c_head + 1\n",
+        )
+        monkeypatch.setattr(sched, "simulate_with_faults", buggy)
         report = fuzz(policies=("easy",), budget=200, seed=0)
         assert not report.ok
         div = report.divergence
-        assert all(f.startswith("faults[") for f in div.findings)
+        # caught by the engine-vs-fault-oracle diff; the EASY engine is clean
+        assert any(
+            f.startswith("faults[") and "!= oracle" in f for f in div.findings
+        )
+        assert not any(f.startswith("simulate:") for f in div.findings)
         assert div.workload.n <= 5
+        assert check_case(div.workload, report.capacity, FUZZ_POLICIES["easy"])
 
     def test_priority_inversion_caught(self, monkeypatch):
         # sort ties the wrong way: breaks the documented (score, submit,
