@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import check_X, check_Xy
-from .tree import DecisionTreeRegressor
+from .tree import DecisionTreeRegressor, _presort
 
 __all__ = ["GradientBoostingRegressor"]
 
@@ -66,6 +66,8 @@ class GradientBoostingRegressor:
             X_val, y_val = X[val_idx], y[val_idx]
             X, y = X[tr_idx], y[tr_idx]
 
+        # every stage's tree reuses one presort of the training rows
+        order = _presort(X)
         self.init_ = float(y.mean())
         self.trees_ = []
         pred = np.full(len(y), self.init_)
@@ -77,17 +79,16 @@ class GradientBoostingRegressor:
 
         for stage in range(self.n_estimators):
             residual = y - pred
+            rows = None
             if self.subsample < 1.0:
-                idx = rng.random(len(y)) < self.subsample
-                if idx.sum() < 2 * self.min_samples_leaf:
-                    idx = np.ones(len(y), dtype=bool)
-            else:
-                idx = slice(None)
+                rows = rng.random(len(y)) < self.subsample
+                if rows.sum() < 2 * self.min_samples_leaf:
+                    rows = None
             tree = DecisionTreeRegressor(
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
             )
-            tree.fit(X[idx], residual[idx])
+            tree._fit_presorted(X, residual, order, rows)
             self.trees_.append(tree)
             pred = pred + self.learning_rate * tree.predict(X)
 
