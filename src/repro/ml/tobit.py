@@ -7,18 +7,28 @@ Maximum-likelihood fit via L-BFGS on the standard Tobit log-likelihood:
 
     uncensored:  log phi((y - Xw)/s) - log s
     censored:    log Phi((Xw - c)/s)
+
+The two log-densities are evaluated with the kernels that
+``scipy.stats.norm.logpdf`` and ``norm.logcdf`` reduce to at ``loc=0``,
+``scale=1`` -- ``-z**2 / 2 - log(sqrt(2 pi))`` and
+``scipy.special.log_ndtr`` -- so the likelihood is bit-identical to the
+``norm`` calls without their per-call argument handling.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import log_ndtr
 from scipy.stats import norm
 
 from .base import check_X, check_Xy
 from .linear import LinearRegression
 
 __all__ = ["TobitRegressor"]
+
+#: log of the standard normal density's normalizer, as scipy computes it
+_LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
 
 
 class TobitRegressor:
@@ -61,6 +71,8 @@ class TobitRegressor:
 
         A = np.hstack([X, np.ones((n, 1))])
         unc = ~censored
+        any_unc, any_censored = bool(unc.any()), bool(censored.any())
+        y_unc, y_censored = y[unc], y[censored]
 
         def neg_ll(params: np.ndarray) -> float:
             w = params[:-1]
@@ -68,12 +80,12 @@ class TobitRegressor:
             s = np.exp(log_s)
             mu = A @ w
             ll = 0.0
-            if unc.any():
-                z = (y[unc] - mu[unc]) / s
-                ll += float(np.sum(norm.logpdf(z) - log_s))
-            if censored.any():
-                z = (mu[censored] - y[censored]) / s
-                ll += float(np.sum(norm.logcdf(z)))
+            if any_unc:
+                z = (y_unc - mu[unc]) / s
+                ll += float(np.sum((-(z**2) / 2.0 - _LOG_SQRT_2PI) - log_s))
+            if any_censored:
+                z = (mu[censored] - y_censored) / s
+                ll += float(np.sum(log_ndtr(z)))
             return -ll
 
         trace = None
