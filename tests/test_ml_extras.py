@@ -89,6 +89,18 @@ class TestQuantileBoosting:
         with pytest.raises(ValueError):
             QuantileGradientBoosting(q=0.0)
 
+    @pytest.mark.parametrize("n_estimators", [0, -1])
+    def test_invalid_n_estimators(self, n_estimators):
+        # zero stages used to fit silently and then fail in predict
+        with pytest.raises(ValueError, match="n_estimators"):
+            QuantileGradientBoosting(n_estimators=n_estimators)
+
+    @pytest.mark.parametrize("learning_rate", [0.0, -0.1, 1.5])
+    def test_invalid_learning_rate(self, learning_rate):
+        # a zero rate used to give a constant model without complaint
+        with pytest.raises(ValueError, match="learning_rate"):
+            QuantileGradientBoosting(learning_rate=learning_rate)
+
     def test_predict_before_fit(self):
         with pytest.raises(RuntimeError):
             QuantileGradientBoosting().predict(np.zeros((1, 1)))
