@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .schema import Trace
+from .schema import Trace, per_trace
 from .systems import SystemKind, SystemSpec
 
 __all__ = [
@@ -83,11 +83,13 @@ def minimal_runtime_mask(runtime: np.ndarray, threshold: float = 60.0) -> np.nda
     return np.asarray(runtime, dtype=float) < threshold
 
 
+@per_trace
 def trace_size_class(trace: Trace) -> np.ndarray:
-    """Size classes for every job in ``trace``."""
-    return size_class(trace["cores"], trace.system)
+    """Size classes for every job in ``trace`` (int8, memoized per trace)."""
+    return size_class(trace["cores"], trace.system).astype(np.int8)
 
 
+@per_trace
 def trace_length_class(trace: Trace) -> np.ndarray:
-    """Length classes for every job in ``trace``."""
-    return length_class(trace["runtime"])
+    """Length classes for every job in ``trace`` (int8, memoized per trace)."""
+    return length_class(trace["runtime"]).astype(np.int8)
