@@ -52,13 +52,12 @@ def core_hour_shares(trace: Trace) -> CoreHourShares:
     ch = trace.core_hours()
     s_cls = trace_size_class(trace)
     l_cls = trace_length_class(trace)
-    ones = np.ones_like(ch)
     return CoreHourShares(
         system=trace.system.name,
         by_size=share(ch, s_cls, [0, 1, 2]),
         by_length=share(ch, l_cls, [0, 1, 2]),
-        count_by_size=share(ones, s_cls, [0, 1, 2]),
-        count_by_length=share(ones, l_cls, [0, 1, 2]),
+        count_by_size=share(None, s_cls, [0, 1, 2]),
+        count_by_length=share(None, l_cls, [0, 1, 2]),
         total_core_hours=float(ch.sum()),
     )
 
