@@ -25,9 +25,21 @@ from repro.core import (
     wait_summary,
 )
 from repro.core.users import _queue_classes
+from repro.core.utilization import _busy_integral
 from repro.experiments import run_experiment
 from repro.frame import Frame
-from repro.traces import BLUE_WATERS, MIRA, PHILLY, JobStatus, Trace
+from repro.traces import (
+    BLUE_WATERS,
+    MIRA,
+    PHILLY,
+    JobStatus,
+    Trace,
+    length_class,
+    size_class,
+    trace_length_class,
+    trace_size_class,
+)
+from repro.traces import categorize
 from repro.traces.synth import cached_traces, generate_all_traces
 
 
@@ -146,6 +158,106 @@ class TestUtilization:
         assert [s.pool for s in analyze_utilization(make_trace())] == ["gpu"]
         assert [s.pool for s in analyze_utilization(make_trace(system=MIRA))] == ["cpu"]
 
+    def test_blue_waters_without_gpu_jobs(self):
+        # the GPU pool's mask selects no job: an all-zero series
+        tr = make_trace(system=BLUE_WATERS, pool=[0, 0, 0, 0])
+        cpu, gpu = analyze_utilization(tr, n_buckets=12)
+        assert np.all(gpu.values == 0.0) and gpu.average == 0.0
+        assert cpu.average > 0.0
+
+    def test_single_job_trace(self):
+        # one submission: the window is [t0, t0 + 1) and the job fills it
+        tr = make_trace(
+            system=MIRA,
+            submit_time=[50.0],
+            runtime=[100.0],
+            cores=[MIRA.schedulable_units],
+            wait_time=[0.0],
+            status=[0],
+        )
+        series = utilization_timeline(tr, n_buckets=4)
+        np.testing.assert_array_equal(series.values, np.ones(4))
+
+
+def _overlap_spec(start, end, cores, edges):
+    """Busy core-seconds per bucket, job by job: the sum over jobs of
+    ``cores * max(0, min(end, b1) - max(start, b0))``."""
+    out = np.zeros(len(edges) - 1)
+    for k, (b0, b1) in enumerate(zip(edges[:-1], edges[1:])):
+        for s, e, c in zip(start, end, cores):
+            out[k] += c * max(0.0, min(e, b1) - max(s, b0))
+    return out
+
+
+def _random_jobs(seed, n):
+    """Jobs on a coarse 10 s grid: many share an instant, many start or end
+    exactly on a bucket edge (edges fall on the grid), some have zero
+    runtime, some start before the window and some run past its end."""
+    rng = np.random.default_rng(seed)
+    start = rng.integers(-5, 50, n) * 10.0
+    runtime = rng.choice([0.0, 10.0, 40.0, 120.0, 800.0], n)
+    cores = rng.integers(1, 64, n).astype(float)
+    return start, start + runtime, cores
+
+
+class TestBusyIntegral:
+    """The event sweep against the per-job overlap specification."""
+
+    EDGES = np.linspace(0.0, 480.0, 13)  # 40 s buckets, on the 10 s grid
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("offset", [0.0, 5.0], ids=["on-grid", "off-grid"])
+    def test_matches_overlap_spec(self, seed, offset):
+        # off the grid, no event falls on an edge: each edge takes the
+        # level of the last instant before it, the first edge included
+        start, end, cores = _random_jobs(seed, n=200)
+        edges = self.EDGES + offset
+        got = _busy_integral(start, end, cores, edges)
+        want = _overlap_spec(start, end, cores, edges)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_many_events_at_one_instant(self):
+        n = 50
+        start = np.full(n, 80.0)  # every job starts on an edge, at once
+        end = np.concatenate([np.full(n // 2, 80.0), np.full(n - n // 2, 200.0)])
+        cores = np.arange(1.0, n + 1)
+        got = _busy_integral(start, end, cores, self.EDGES)
+        assert got == pytest.approx(
+            _overlap_spec(start, end, cores, self.EDGES), rel=1e-12
+        )
+        assert got[:2].sum() == 0.0  # nothing before t=80
+
+    def test_zero_runtime_jobs_add_nothing(self):
+        start = np.array([0.0, 40.0, 55.0, 480.0])
+        got = _busy_integral(start, start.copy(), np.full(4, 7.0), self.EDGES)
+        np.testing.assert_array_equal(got, np.zeros(12))
+
+    def test_job_past_the_window_counts_only_inside(self):
+        got = _busy_integral(
+            np.array([460.0]), np.array([10_000.0]), np.array([3.0]), self.EDGES
+        )
+        np.testing.assert_array_equal(got, [0.0] * 11 + [3.0 * 20.0])
+
+    def test_empty_and_single_job(self):
+        empty = np.array([])
+        np.testing.assert_array_equal(
+            _busy_integral(empty, empty, empty, self.EDGES), np.zeros(12)
+        )
+        got = _busy_integral(
+            np.array([30.0]), np.array([130.0]), np.array([2.0]), self.EDGES
+        )
+        np.testing.assert_array_equal(got, [20.0, 80.0, 80.0, 20.0] + [0.0] * 8)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_input_order_cannot_change_the_bits(self, seed):
+        # integer cores: every level is an exact prefix sum, so the order
+        # the sort leaves tied events in does not matter
+        start, end, cores = _random_jobs(seed, n=300)
+        got = _busy_integral(start, end, cores, self.EDGES)
+        perm = np.random.default_rng(seed + 100).permutation(len(start))
+        shuffled = _busy_integral(start[perm], end[perm], cores[perm], self.EDGES)
+        assert got.tobytes() == shuffled.tobytes()
+
 
 class TestWaiting:
     def test_wait_summary_values(self):
@@ -223,6 +335,8 @@ MEMOIZED = (
     size_vs_queue,
     runtime_vs_queue,
     _queue_classes,
+    trace_size_class,
+    trace_length_class,
 )
 
 
@@ -294,3 +408,58 @@ class TestPerTraceMemo:
     def test_unhashable_argument_raises(self):
         with pytest.raises(TypeError, match="unhashable"):
             repetition_summary(make_trace(), max_k=np.array([10]))
+
+
+class TestClassMemo:
+    """``trace_size_class`` / ``trace_length_class``: int8 vectors computed
+    once per trace and shared by Figs 2, 5, 7, 9 and 10."""
+
+    def test_computed_once_per_trace(self, monkeypatch):
+        calls = {"size": 0, "length": 0}
+
+        def counting(kind, fn):
+            def wrapped(*args):
+                calls[kind] += 1
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            categorize, "size_class", counting("size", categorize.size_class)
+        )
+        monkeypatch.setattr(
+            categorize, "length_class", counting("length", categorize.length_class)
+        )
+        tr = make_trace()
+        core_hour_shares(tr)
+        status_by_class(tr)
+        wait_by_class(tr)
+        size_vs_queue(tr)
+        runtime_vs_queue(tr)
+        assert trace_size_class(tr) is trace_size_class(tr)
+        assert calls == {"size": 1, "length": 1}
+
+    @pytest.mark.parametrize("system", [PHILLY, MIRA])
+    def test_read_only_int8_equal_to_the_kernels(self, system):
+        tr = make_trace(system=system, cores=[1, 4, 2000, 60000])
+        for memo, kernel in (
+            (trace_size_class(tr), size_class(tr["cores"], system)),
+            (trace_length_class(tr), length_class(tr["runtime"])),
+        ):
+            assert memo.dtype == np.int8
+            assert not memo.flags.writeable
+            np.testing.assert_array_equal(memo, kernel)
+
+    def test_unsorted_trace_copy_has_its_own_memo(self):
+        unsorted = make_trace(submit_time=[300.0, 0.0, 200.0, 100.0])
+        presorted = unsorted.sorted_by_submit()
+        assert presorted is not unsorted
+        # the sorted copy classifies its own row order
+        np.testing.assert_array_equal(
+            trace_size_class(presorted), trace_size_class(unsorted)[[1, 3, 2, 0]]
+        )
+        assert trace_size_class(presorted) is not trace_size_class(unsorted)
+        fresh = Trace(PHILLY, presorted.jobs)
+        for fn in (size_vs_queue, runtime_vs_queue):
+            a, b = fn(unsorted), fn(fresh)
+            assert repr(dataclasses.asdict(a)) == repr(dataclasses.asdict(b))
