@@ -39,6 +39,7 @@ from pathlib import Path
 
 from .core.report import write_report
 from .core.study import CrossSystemStudy
+from .runner.options import add_run_arguments, run_options_from_args
 from .sched import (
     EASY,
     NO_BACKFILL,
@@ -306,41 +307,19 @@ def _sweep_telemetry(args: argparse.Namespace):
 
 def _simulate_sweep(args: argparse.Namespace, trace, workload, policies, backfill, faults) -> int:
     """Run one or more policies through the parallel sweep runner."""
-    from .runner import (
-        FailureReport,
-        ResultCache,
-        RetryPolicy,
-        SimTask,
-        SweepError,
-        SweepJournal,
-        run_sweep,
-    )
+    from .runner import FailureReport, SimTask, SweepError, run_sweep
 
-    cache = None
-    if args.cache_dir is not None and not args.no_cache:
-        cache = ResultCache(args.cache_dir, fsync=args.fsync)
-    journal = None
-    if args.journal is not None:
-        journal = SweepJournal(_ensure_parent(args.journal), fsync=args.fsync)
-        if not args.resume and journal.completed():
-            print(
-                f"journal {args.journal} already holds completed cells; "
-                "pass --resume to replay them, or remove the file to start "
-                "over",
-                file=sys.stderr,
-            )
-            journal.close()
-            return 2
-    retry = None
-    if args.task_retries is not None:
-        retry = RetryPolicy(
-            max_attempts=args.task_retries, backoff_base=args.retry_backoff
-        )
-    elif args.on_error == "retry":
-        retry = RetryPolicy(backoff_base=args.retry_backoff)
+    try:
+        options = run_options_from_args(args)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    cache, journal = options.cache, options.journal
     try:
         registry, progress = _sweep_telemetry(args)
     except ValueError as exc:
+        if journal is not None:
+            journal.close()
         print(f"invalid run-log output: {exc}", file=sys.stderr)
         return 2
     tasks = [
@@ -358,14 +337,9 @@ def _simulate_sweep(args: argparse.Namespace, trace, workload, policies, backfil
     try:
         results = run_sweep(
             tasks,
-            jobs=args.jobs,
-            cache=cache,
+            options,
             registry=registry,
             progress=progress,
-            timeout=args.task_timeout,
-            on_error=args.on_error,
-            retry=retry,
-            journal=journal,
             failures_out=report,
         )
     except SweepError as exc:
@@ -481,21 +455,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     policies = [p.strip() for p in args.policy.split(",") if p.strip()]
     if not policies:
         print("--policy needs at least one policy name", file=sys.stderr)
-        return 2
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2
-    if args.task_timeout is not None and args.task_timeout <= 0:
-        print("--task-timeout must be positive", file=sys.stderr)
-        return 2
-    if args.task_retries is not None and args.task_retries < 1:
-        print("--task-retries must be >= 1", file=sys.stderr)
-        return 2
-    if args.retry_backoff < 0:
-        print("--retry-backoff must be >= 0", file=sys.stderr)
-        return 2
-    if args.resume and args.journal is None:
-        print("--resume needs --journal PATH to resume from", file=sys.stderr)
         return 2
     try:
         faults = _fault_config(args, trace)
@@ -892,82 +851,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument("--relax", type=float, default=0.1)
     p.add_argument("--max-jobs", type=int, default=0)
-    runner = p.add_argument_group("parallel runner (docs/PARALLELISM.md)")
-    runner.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for multi-policy sweeps (results are "
-        "bit-identical at any worker count)",
-    )
-    runner.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="on-disk result cache; entries live at "
-        "<cache-dir>/<2-hex-prefix>/<sha256-fingerprint>.json and are "
-        "invalidated automatically when engine code changes",
-    )
-    runner.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore --cache-dir: recompute every run",
-    )
-    crash = p.add_argument_group(
-        "crash safety (docs/PARALLELISM.md, 'Crash-safe sweeps')"
-    )
-    crash.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="per-cell wall-clock limit; the watchdog kills cells past it "
-        "(a timeout is transient: retried under --on-error retry)",
-    )
-    crash.add_argument(
-        "--on-error",
-        choices=("raise", "skip", "retry"),
-        default="raise",
-        help="terminal cell failures: abort the sweep (raise, default), "
-        "record and keep going (skip), or retry transient failures with "
-        "seeded backoff first (retry)",
-    )
-    crash.add_argument(
-        "--task-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="max attempts per cell (first try included); implies retries "
-        "for transient failures under any --on-error",
-    )
-    crash.add_argument(
-        "--retry-backoff",
-        type=float,
-        default=0.5,
-        metavar="S",
-        help="base delay before a retry; doubles per attempt with "
-        "deterministic jitter",
-    )
-    crash.add_argument(
-        "--journal",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="append-only journal of completed cells; an interrupted "
-        "sweep re-run with --resume replays them without recomputing",
-    )
-    crash.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay cells already completed in --journal (bit-identical "
-        "to an uninterrupted run)",
-    )
-    crash.add_argument(
-        "--fsync",
-        action="store_true",
-        help="fsync cache entries and journal lines to stable storage "
-        "(power-loss durability; default trusts the OS page cache)",
-    )
+    add_run_arguments(p)
     fault = p.add_argument_group("fault injection (docs/RESILIENCE.md)")
     fault.add_argument(
         "--mtbf-hours",

@@ -6,8 +6,11 @@ import argparse
 import inspect
 import sys
 import time
+from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 
+from ..runner.options import add_run_arguments, run_options_from_args
 from . import REGISTRY, run_experiment
 from .common import DEFAULT_DAYS, DEFAULT_SEED
 
@@ -46,58 +49,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="DIR",
         help="also write <exp>.txt and <exp>.json into DIR",
     )
-    runner = parser.add_argument_group("parallel runner (docs/PARALLELISM.md)")
-    runner.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for sweep-style experiments (results are "
-        "bit-identical at any worker count)",
-    )
-    runner.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="on-disk result cache for sweep cells "
-        "(layout: <dir>/<2-hex>/<fingerprint>.json)",
-    )
-    runner.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore --cache-dir: recompute every cell",
-    )
-    crash = parser.add_argument_group(
-        "crash safety (docs/PARALLELISM.md, 'Crash-safe sweeps')"
-    )
-    crash.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="per-cell wall-clock limit enforced by the sweep watchdog",
-    )
-    crash.add_argument(
-        "--on-error",
-        choices=("raise", "skip", "retry"),
-        default="raise",
-        help="terminal cell failures: abort (raise), render FAILED rows "
-        "and keep going (skip), or retry transient failures first (retry)",
-    )
-    crash.add_argument(
-        "--task-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="max attempts per cell (first try included)",
-    )
-    crash.add_argument(
-        "--journal",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="append-only journal of completed cells; rerunning with the "
-        "same journal replays them without recomputing",
-    )
+    add_run_arguments(parser)
     tracing = parser.add_argument_group(
         "performance tracing (docs/OBSERVABILITY.md, 'Performance tracing')"
     )
@@ -132,12 +84,6 @@ def main(argv: list[str] | None = None) -> int:
         "tens of percent — the default records coarse cell/simulate spans",
     )
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    if args.task_timeout is not None and args.task_timeout <= 0:
-        parser.error("--task-timeout must be positive")
-    if args.task_retries is not None and args.task_retries < 1:
-        parser.error("--task-retries must be >= 1")
     if args.sample_hz < 0:
         parser.error("--sample-hz must be >= 0")
     if args.sample_hz > 0 and not (args.trace_out or args.stacks_out):
@@ -159,70 +105,59 @@ def main(argv: list[str] | None = None) -> int:
         for key, (_, desc) in REGISTRY.items():
             print(f"{key:8s} {desc}")
         return 0
-
+    try:
+        # one ResultCache and one journal for every experiment of the run,
+        # so the cache's hit/miss counters can be reported per experiment
+        options = replace(run_options_from_args(args), perf=perf)
+    except ValueError as exc:
+        parser.error(str(exc))
     ids = list(REGISTRY) if args.experiment == "all" else [args.experiment]
-    cache = None
-    if args.cache_dir is not None and not args.no_cache:
-        # one shared ResultCache instance (run_sweep and the experiment
-        # modules accept it wherever a cache dir is expected) so hit/miss
-        # counters survive the call and can be reported per experiment
-        from ..runner import ResultCache
-
-        cache = ResultCache(args.cache_dir)
-    for exp_id in ids:
-        t0 = time.time()
-        hits0, misses0 = (cache.hits, cache.misses) if cache else (0, 0)
-        try:
-            kwargs = {"days": args.days, "seed": args.seed}
-            entry = REGISTRY.get(exp_id)
-            params = (
-                inspect.signature(entry[0].run).parameters if entry else {}
-            )
-            if args.max_jobs > 0 and "max_jobs" in params:
-                kwargs["max_jobs"] = args.max_jobs
-            if args.jobs > 1 and "jobs" in params:
-                kwargs["jobs"] = args.jobs
-            if cache is not None and "cache_dir" in params:
-                kwargs["cache_dir"] = cache
-            if args.task_timeout is not None and "timeout" in params:
-                kwargs["timeout"] = args.task_timeout
-            if args.on_error != "raise" and "on_error" in params:
-                kwargs["on_error"] = args.on_error
-            if args.task_retries is not None and "retries" in params:
-                kwargs["retries"] = args.task_retries
-            if args.journal is not None and "journal" in params:
-                kwargs["journal"] = args.journal
-            if perf is not None and "perf" in params:
-                kwargs["perf"] = perf
-            result = run_experiment(exp_id, **kwargs)
-        except KeyError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        print(result.render())
-        if args.save:
-            txt, js = result.save(args.save)
-            print(f"(saved {txt} and {js})")
-        if cache is not None and "cache_dir" in params:
-            print(
-                f"(cache {args.cache_dir}: {cache.hits - hits0} hit(s), "
-                f"{cache.misses - misses0} miss(es))"
-            )
-        if perf is not None:
-            if "perf" not in params:
-                print(
-                    f"({exp_id} does not support performance tracing; "
-                    "--trace-out/--stacks-out ignored)",
-                    file=sys.stderr,
+    cache = options.cache
+    with options.journal or nullcontext():
+        for exp_id in ids:
+            t0 = time.time()
+            hits0, misses0 = (cache.hits, cache.misses) if cache else (0, 0)
+            try:
+                kwargs = {"days": args.days, "seed": args.seed}
+                entry = REGISTRY.get(exp_id)
+                params = (
+                    inspect.signature(entry[0].run).parameters if entry else {}
                 )
-            elif perf.trace is not None:
-                written = [str(p) for p in (args.trace_out, args.stacks_out) if p]
+                if args.max_jobs > 0 and "max_jobs" in params:
+                    kwargs["max_jobs"] = args.max_jobs
+                if "options" in params:
+                    kwargs["options"] = options
+                result = run_experiment(exp_id, **kwargs)
+            except KeyError as exc:
+                print(exc, file=sys.stderr)
+                return 2
+            print(result.render())
+            if args.save:
+                txt, js = result.save(args.save)
+                print(f"(saved {txt} and {js})")
+            if cache is not None and "options" in params:
                 print(
-                    f"(trace: {perf.trace.n_cells} cell(s) across "
-                    f"{len(perf.trace.workers())} worker(s) -> "
-                    + ", ".join(written)
-                    + ")"
+                    f"(cache {args.cache_dir}: {cache.hits - hits0} hit(s), "
+                    f"{cache.misses - misses0} miss(es))"
                 )
-        print(f"\n({exp_id} completed in {time.time() - t0:.1f}s)\n")
+            if perf is not None:
+                if "options" not in params:
+                    print(
+                        f"({exp_id} does not support performance tracing; "
+                        "--trace-out/--stacks-out ignored)",
+                        file=sys.stderr,
+                    )
+                elif perf.trace is not None:
+                    written = [
+                        str(p) for p in (args.trace_out, args.stacks_out) if p
+                    ]
+                    print(
+                        f"(trace: {perf.trace.n_cells} cell(s) across "
+                        f"{len(perf.trace.workers())} worker(s) -> "
+                        + ", ".join(written)
+                        + ")"
+                    )
+            print(f"\n({exp_id} completed in {time.time() - t0:.1f}s)\n")
     return 0
 
 

@@ -7,24 +7,17 @@ the paper's FCFS-based use case 2 sits in the policy space.
 
 The policy × system grid runs through :func:`repro.runner.run_sweep`;
 pass ``jobs`` / ``cache_dir`` to parallelize and memoize the cells, and
-``timeout`` / ``on_error`` / ``retries`` / ``journal`` to harden long
-grids against hung or crashing workers (docs/PARALLELISM.md,
-"Crash-safe sweeps").  Under ``on_error="skip"`` failed cells render as
-``FAILED`` rows instead of aborting the whole grid.
+an ``options`` :class:`repro.runner.RunOptions` for its timeout, failure
+policy, retries and journal (docs/PARALLELISM.md, "Crash-safe sweeps").
+Under ``on_error="skip"`` failed cells render as ``FAILED`` rows instead
+of aborting the whole grid.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from ..runner import (
-    ResultCache,
-    RetryPolicy,
-    SimTask,
-    SweepJournal,
-    WorkloadSpec,
-    run_sweep,
-)
+from ..runner import ResultCache, RunOptions, SimTask, WorkloadSpec, run_sweep
 from ..sched import EASY
 from ..viz import percent, render_table, seconds
 from .common import DEFAULT_DAYS, DEFAULT_SEED, ExperimentResult
@@ -39,13 +32,9 @@ def run(
     seed: int = DEFAULT_SEED,
     policies: tuple[str, ...] = ("fcfs", "sjf", "wfp3", "unicef", "f1", "fairshare"),
     max_jobs: int = 6000,
-    jobs: int = 1,
+    jobs: int | None = None,
     cache_dir: str | Path | ResultCache | None = None,
-    timeout: float | None = None,
-    on_error: str = "raise",
-    retries: RetryPolicy | int | None = None,
-    journal: SweepJournal | str | Path | None = None,
-    perf=None,
+    options: RunOptions | None = None,
 ) -> ExperimentResult:
     """Policy x system grid under EASY backfilling."""
     tasks = [
@@ -63,14 +52,7 @@ def run(
     sweep = {
         r.label: r
         for r in run_sweep(
-            tasks,
-            jobs=jobs,
-            cache=cache_dir,
-            timeout=timeout,
-            on_error=on_error,
-            retry=retries,
-            journal=journal,
-            perf=perf,
+            tasks, RunOptions.resolve(options, jobs=jobs, cache=cache_dir)
         )
         if r is not None
     }

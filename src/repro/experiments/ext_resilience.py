@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from ..runner import ResultCache, SimTask, WorkloadSpec, run_sweep
+from ..runner import ResultCache, RunOptions, SimTask, WorkloadSpec, run_sweep
 from ..sched import (
     EASY,
     FaultConfig,
@@ -112,22 +112,18 @@ def run(
     n_nodes: int = 16,
     mttr_hours: float = 2.0,
     relax: float = 0.1,
-    jobs: int = 1,
+    jobs: int | None = None,
     cache_dir: str | Path | ResultCache | None = None,
-    timeout: float | None = None,
-    on_error: str = "raise",
-    retries=None,
-    journal=None,
-    perf=None,
+    options: RunOptions | None = None,
 ) -> ExperimentResult:
     """Failure-rate x resilience-policy x backfill-mode sweep.
 
-    ``timeout`` / ``on_error`` / ``retries`` / ``journal`` pass straight
-    through to :func:`repro.runner.run_sweep` (docs/PARALLELISM.md,
-    "Crash-safe sweeps"); under ``on_error="skip"`` missing cells render
-    as ``FAILED`` rows.  ``perf`` (a :class:`repro.obs.PerfConfig`)
-    enables cross-process performance tracing (docs/OBSERVABILITY.md,
-    "Performance tracing").
+    ``options`` (a :class:`repro.runner.RunOptions`; ``jobs`` /
+    ``cache_dir`` override its fields) passes straight through to
+    :func:`repro.runner.run_sweep` (docs/PARALLELISM.md, "Crash-safe
+    sweeps"); under ``on_error="skip"`` missing cells render as
+    ``FAILED`` rows.  A ``perf`` config enables cross-process performance
+    tracing (docs/OBSERVABILITY.md, "Performance tracing").
     """
     trace = get_traces(days, seed)[system]
     workload = workload_from_trace(trace).slice(max_jobs)
@@ -143,14 +139,7 @@ def run(
     sweep = {
         r.label: r
         for r in run_sweep(
-            tasks,
-            jobs=jobs,
-            cache=cache_dir,
-            timeout=timeout,
-            on_error=on_error,
-            retry=retries,
-            journal=journal,
-            perf=perf,
+            tasks, RunOptions.resolve(options, jobs=jobs, cache=cache_dir)
         )
         if r is not None
     }

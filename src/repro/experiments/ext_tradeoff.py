@@ -15,29 +15,10 @@ import numpy as np
 from ..ml import TobitRegressor, prediction_accuracy, underestimation_rate
 from ..predict.features import build_dataset
 from ..predict.harness import augment_with_checkpoints
-from ..runner import parallel_map
 from ..viz import percent, render_table
 from .common import DEFAULT_DAYS, DEFAULT_SEED, ExperimentResult, get_traces
 
 __all__ = ["run"]
-
-
-def _quantile_cell(args):
-    """Evaluate one prediction quantile (picklable sweep-cell worker).
-
-    Deterministic in its inputs, so :func:`repro.runner.parallel_map`
-    yields identical cells at any worker count.
-    """
-    q, base_model, elapsed_model, x_base, x_elapsed, runtime = args
-    pred_base = np.exp(base_model.predict_quantile(x_base, q))
-    pred_elapsed = np.exp(elapsed_model.predict_quantile(x_elapsed, q))
-    cells = {}
-    for arm, pred in (("baseline", pred_base), ("elapsed", pred_elapsed)):
-        cells[arm] = {
-            "under": underestimation_rate(runtime, pred),
-            "acc": float(prediction_accuracy(runtime, pred).mean()),
-        }
-    return cells
 
 
 def run(
@@ -48,7 +29,6 @@ def run(
     elapsed_fraction: float = 0.25,
     max_jobs: int = 8000,
     train_fraction: float = 0.7,
-    jobs: int = 1,
 ) -> ExperimentResult:
     """Sweep Tobit prediction quantiles with/without elapsed time."""
     traces = get_traces(days, seed)
@@ -77,15 +57,18 @@ def run(
     )
     rows = []
     data_out = {}
-    all_cells = parallel_map(
-        _quantile_cell,
-        [
-            (q, base_model, elapsed_model, test.X, X_test_elapsed, test.runtime)
-            for q in quantiles
-        ],
-        jobs=jobs,
+    arms = (
+        ("baseline", base_model, test.X),
+        ("elapsed", elapsed_model, X_test_elapsed),
     )
-    for q, cells in zip(quantiles, all_cells):
+    for q in quantiles:
+        cells = {}
+        for arm, model, X in arms:
+            pred = np.exp(model.predict_quantile(X, q))
+            cells[arm] = {
+                "under": underestimation_rate(test.runtime, pred),
+                "acc": float(prediction_accuracy(test.runtime, pred).mean()),
+            }
         rows.append(
             [
                 f"q={q}",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..core.adaptive import improvement_pct
-from ..runner import ResultCache, SimTask, WorkloadSpec, run_sweep
+from ..runner import ResultCache, RunOptions, SimTask, WorkloadSpec, run_sweep
 from ..sched import adaptive_relaxed, relaxed
 from ..viz import render_table
 from .common import DEFAULT_DAYS, DEFAULT_SEED, ExperimentResult
@@ -39,33 +39,21 @@ def run(
     seed: int = DEFAULT_SEED,
     relax_base: float = 0.1,
     max_jobs: int | None = 40_000,
-    jobs: int = 1,
+    jobs: int | None = None,
     cache_dir: str | Path | ResultCache | None = None,
-    timeout: float | None = None,
-    on_error: str = "raise",
-    retries=None,
-    journal=None,
-    perf=None,
+    options: RunOptions | None = None,
 ) -> ExperimentResult:
     """Reproduce Table II: relaxed vs adaptive-relaxed backfilling.
 
-    ``timeout`` / ``on_error`` / ``retries`` / ``journal`` pass through to
-    both :func:`repro.runner.run_sweep` phases (docs/PARALLELISM.md,
-    "Crash-safe sweeps").  A system whose relaxed run fails under
-    ``on_error="skip"`` is dropped from the adaptive phase (its denominator
-    is unknown) and rendered as a ``FAILED`` row.  ``perf`` (a
-    :class:`repro.obs.PerfConfig`) is shared by both phases, so the two
-    sweeps accumulate into one trace (docs/OBSERVABILITY.md).
+    ``options`` (a :class:`repro.runner.RunOptions`; ``jobs`` /
+    ``cache_dir`` override its fields) runs both
+    :func:`repro.runner.run_sweep` phases (docs/PARALLELISM.md).  A system
+    whose relaxed run fails under ``on_error="skip"`` is dropped from the
+    adaptive phase (its denominator is unknown) and rendered as a
+    ``FAILED`` row.  A ``perf`` config is shared by both phases, so the
+    two sweeps accumulate into one trace (docs/OBSERVABILITY.md).
     """
-    sweep_opts = dict(
-        jobs=jobs,
-        cache=cache_dir,
-        timeout=timeout,
-        on_error=on_error,
-        retry=retries,
-        journal=journal,
-        perf=perf,
-    )
+    options = RunOptions.resolve(options, jobs=jobs, cache=cache_dir)
     specs = {
         name: WorkloadSpec(system=name, days=days, seed=seed, max_jobs=max_jobs)
         for name in SYSTEMS
@@ -84,7 +72,7 @@ def run(
                 )
                 for name in SYSTEMS
             ],
-            **sweep_opts,
+            options,
         )
         if r is not None
     }
@@ -105,7 +93,7 @@ def run(
                 )
                 for name in phase2
             ],
-            **sweep_opts,
+            options,
         )
         if r is not None
     }

@@ -3,10 +3,11 @@
 The experiment campaigns (failure × policy × backfill grids, policy
 comparison grids, Table II) are embarrassingly parallel: every cell is an
 independent, deterministic simulation.  This package executes such sweeps
-over ``multiprocessing`` workers with **bit-identical results at any
-worker count**, and memoizes each cell in a content-addressed on-disk
-cache so re-runs only recompute what changed (workload, seed, cluster,
-policy, backfill, fault config, or the engine code itself).
+on a supervised pool of persistent worker processes with **bit-identical
+results at any worker count**, and memoizes each cell in a
+content-addressed on-disk cache so re-runs only recompute what changed
+(workload, seed, cluster, policy, backfill, fault config, or the engine
+code itself).  :class:`RunOptions` holds every execution setting.
 
 See ``docs/PARALLELISM.md`` for the API, the cache-key contract, and the
 determinism guarantee.
@@ -14,16 +15,18 @@ determinism guarantee.
 
 from .cache import ResultCache, code_version, stable_hash
 from .journal import SweepJournal
-from .sweep import (
+from .options import (
     ON_ERROR_POLICIES,
+    RunOptions,
+    add_run_arguments,
+    run_options_from_args,
+)
+from .sweep import (
     SimTask,
-    SweepSpec,
     SweepStats,
     TaskResult,
     WorkloadSpec,
-    default_jobs,
     derive_seed,
-    parallel_map,
     run_sweep,
     workload_fingerprint,
 )
@@ -41,14 +44,14 @@ __all__ = [
     "stable_hash",
     "SweepJournal",
     "ON_ERROR_POLICIES",
+    "RunOptions",
+    "add_run_arguments",
+    "run_options_from_args",
     "SimTask",
-    "SweepSpec",
     "SweepStats",
     "TaskResult",
     "WorkloadSpec",
-    "default_jobs",
     "derive_seed",
-    "parallel_map",
     "run_sweep",
     "workload_fingerprint",
     "FailureReport",

@@ -4,16 +4,16 @@ A *sweep* is a list of independent simulation cells (:class:`SimTask`), each
 fully described by pure data: a workload source, a capacity, a policy name,
 a backfill configuration and an optional fault configuration.  Because every
 cell is self-contained and the simulator is deterministic in its inputs,
-:func:`run_sweep` can fan cells out over ``multiprocessing`` workers and
-still guarantee **bit-identical results to serial execution at any worker
-count** — parallelism only reorders wall-clock execution, never the inputs.
+:func:`run_sweep` can fan cells out over worker processes and still
+guarantee **bit-identical results at any worker count** — parallelism only
+reorders wall-clock execution, never the inputs.
 
 Two workload sources are supported:
 
 * :class:`WorkloadSpec` — a synthetic-generation recipe (system, days,
   seed, job cap).  Workers rematerialize the trace through the shared
-  process-wide cache (:func:`repro.traces.synth.cached_traces`); with
-  fork-started workers the parent's warm cache is inherited for free.
+  process-wide cache (:func:`repro.traces.synth.cached_traces`), which
+  :func:`run_sweep` warms in the parent so fork-started workers inherit it.
 * an inline :class:`~repro.sched.job.SimWorkload` — concrete job arrays
   (e.g. parsed from an SWF file), shipped to workers by pickling.
 
@@ -29,11 +29,10 @@ import functools
 import hashlib
 import json
 import multiprocessing
-import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -51,28 +50,22 @@ from ..sched import (
 from ..sched.job import SimWorkload
 from .cache import ResultCache, code_version, stable_hash
 from .journal import SweepJournal
-from .watchdog import FailureReport, RetryPolicy, SweepError, run_watchdog
+from .options import RunOptions
+from .watchdog import FailureReport, SweepError, _mp_context, run_watchdog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import at runtime
     from ..obs.perf import PerfConfig
     from ..obs.runs import ProgressReporter, RunRegistry
-    from ..testkit.chaos import ChaosConfig
 
 __all__ = [
     "WorkloadSpec",
     "SimTask",
     "TaskResult",
     "SweepStats",
-    "SweepSpec",
     "run_sweep",
-    "parallel_map",
     "derive_seed",
-    "default_jobs",
     "workload_fingerprint",
 ]
-
-#: accepted values for run_sweep's ``on_error`` policy
-ON_ERROR_POLICIES = ("raise", "skip", "retry")
 
 
 def derive_seed(base: int, *parts) -> int:
@@ -340,29 +333,6 @@ def _execute_task(task: SimTask, perf: "PerfConfig | None" = None) -> TaskResult
     )
 
 
-def _execute_indexed(
-    item: tuple[int, SimTask], perf: "PerfConfig | None" = None
-) -> tuple[int, TaskResult, float, str]:
-    """Worker-side wrapper: run one indexed cell and time it.
-
-    Returns ``(index, result, wall_seconds, worker_name)`` so the parent
-    can reassemble results in task order while observing completion order
-    for progress reporting.  The timing wraps only this cell's execution —
-    pool scheduling overhead stays out of per-task telemetry.
-    """
-    i, task = item
-    t0 = time.perf_counter()
-    result = _execute_task(task, perf=perf)
-    wall = time.perf_counter() - t0
-    return i, result, wall, multiprocessing.current_process().name
-
-
-def _mp_context():
-    """Fork when available (inherits warm trace caches), else spawn."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
 @dataclass
 class SweepStats:
     """Execution telemetry for one :func:`run_sweep` invocation.
@@ -464,56 +434,39 @@ def _failure_record(failure, task: SimTask, seq: int, terminal: bool):
 
 def run_sweep(
     tasks: Sequence[SimTask],
-    jobs: int = 1,
-    cache: ResultCache | str | Path | None = None,
+    options: RunOptions | None = None,
+    *,
     registry: "RunRegistry | None" = None,
     progress: "ProgressReporter | None" = None,
     stats_out: SweepStats | None = None,
-    timeout: float | None = None,
-    on_error: str = "raise",
-    retry: RetryPolicy | int | None = None,
-    journal: SweepJournal | str | Path | None = None,
-    chaos: "ChaosConfig | None" = None,
     failures_out: FailureReport | None = None,
-    perf: "PerfConfig | None" = None,
+    **fields,
 ) -> list[TaskResult | None]:
-    """Execute a sweep, fanning cache misses out over ``jobs`` workers.
+    """Execute a sweep, running cache misses on supervised workers.
 
     Results come back in task order.  Cells whose fingerprint is present
-    in ``cache`` are served from disk (``cached=True``) without running a
+    in the cache are served from disk (``cached=True``) without running a
     simulation; fresh results are written back.  At any ``jobs`` the
-    returned metric dicts are bit-identical to a serial run — cells are
-    independent and carry their own seeds.
+    returned metric dicts are bit-identical — cells are independent and
+    carry their own seeds.
 
-    Crash safety (``docs/PARALLELISM.md`` → "Crash-safe sweeps"; all off
-    by default, in which case execution takes the original pool path and
-    worker exceptions propagate raw):
+    ``options`` is a :class:`RunOptions` (default ``RunOptions()``:
+    one worker, no cache, no timeout, abort on the first terminal
+    failure); ``**fields`` override its fields by name, so
+    ``run_sweep(tasks, jobs=4, cache=dir)`` works without building one.
+    Every miss runs in a worker process of the supervised pool
+    (:func:`repro.runner.watchdog.run_watchdog`), even at ``jobs=1``, so
+    crash safety is always on (``docs/PARALLELISM.md`` → "Crash-safe
+    sweeps"): a worker that dies mid-cell fails that cell as a transient
+    ``crash``.  Under ``on_error="raise"`` the first terminal failure
+    aborts with :class:`SweepError` carrying the partial results.
+    ``failures_out`` — a :class:`FailureReport` — is filled with terminal
+    failures and retried attempts (also counted in ``stats_out``).
 
-    * ``timeout`` — per-cell wall-clock limit in seconds; a cell past it
-      is killed by the parent-side watchdog and classified as a transient
-      ``timeout`` failure.
-    * ``on_error`` — what a *terminal* cell failure does: ``"raise"``
-      (default) aborts with :class:`SweepError` carrying the partial
-      results; ``"skip"`` records it and leaves ``None`` at that cell's
-      position; ``"retry"`` additionally retries transient failures
-      (crash/timeout/corrupt/transient errors) with seeded deterministic
-      backoff before giving up.
-    * ``retry`` — a :class:`RetryPolicy` (or an int shorthand for
-      ``max_attempts``); activates retries under any ``on_error``.
-    * ``journal`` — a :class:`SweepJournal` (or its path): every
-      completed cell is appended durably, and cells already journaled are
-      replayed without recomputation — an interrupted sweep resumes
-      bit-identical to an uninterrupted run.
-    * ``chaos`` — a :class:`repro.testkit.chaos.ChaosConfig` injecting
-      seeded worker faults (crash/hang/error/corrupt); the deterministic
-      test harness for all of the above.
-    * ``failures_out`` — a :class:`FailureReport` filled with terminal
-      failures and retried attempts (also available via ``stats_out``
-      counts).
-
-    On ``KeyboardInterrupt`` (and any other abort) in-flight workers are
-    terminated before the exception re-raises — no zombie processes, and
-    the journal/registry only ever contain complete lines.
+    On ``KeyboardInterrupt`` (and any other abort) busy workers are
+    killed and idle ones stopped before the exception re-raises — no
+    zombie processes, and the journal/registry only ever contain complete
+    lines.
 
     Telemetry (all optional, all pure observers — attaching them changes
     nothing about the results; see ``tests/test_runner.py``):
@@ -523,8 +476,8 @@ def run_sweep(
       first, then computed cells in completion order; failed and retried
       attempts are appended with ``status="failed:*"``/``"retried:*"``.
     * ``progress`` — a :class:`~repro.obs.runs.ProgressReporter`; driven
-      from the parent as worker futures complete.  The default no-op
-      reporter keeps the unobserved path free of record construction.
+      from the parent as cells complete.  The default no-op reporter
+      keeps the unobserved path free of record construction.
     * ``stats_out`` — a :class:`SweepStats` to fill with cache hit/miss
       deltas, journal/failure/retry counts and per-phase wall time.
     * ``perf`` — a :class:`repro.obs.perf.PerfConfig`; workers run their
@@ -537,19 +490,12 @@ def run_sweep(
       ``perf.trace_out`` / ``perf.stacks_out`` after each sweep
       (docs/OBSERVABILITY.md → "Performance tracing").
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if on_error not in ON_ERROR_POLICIES:
-        raise ValueError(
-            f"on_error must be one of {ON_ERROR_POLICIES}, got {on_error!r}"
-        )
-    if timeout is not None and timeout <= 0:
-        raise ValueError("timeout must be positive (or None)")
-    if isinstance(retry, int):
-        retry = RetryPolicy(max_attempts=retry)
-    retry_active = retry is not None or on_error == "retry"
-    if retry_active and retry is None:
-        retry = RetryPolicy()
+    if options is None:
+        options = RunOptions(**fields)
+    elif fields:
+        options = dataclasses.replace(options, **fields)
+    jobs, cache, journal = options.jobs, options.cache, options.journal
+    chaos, perf = options.chaos, options.perf
     if isinstance(cache, (str, Path)):
         cache = ResultCache(cache)
     owns_journal = isinstance(journal, (str, Path))
@@ -697,78 +643,51 @@ def run_sweep(
             seq += 1
             progress.task_retried(record)
 
-    use_watchdog = (
-        timeout is not None
-        or chaos is not None
-        or retry_active
-        or on_error != "raise"
-    )
     execute_fn = _execute_task
-    execute_indexed_fn = _execute_indexed
     if worker_perf is not None:
         # functools.partial of a module-level function pickles under both
         # fork and spawn, so workers get the stripped per-cell perf knobs
         execute_fn = functools.partial(_execute_task, perf=worker_perf)
-        execute_indexed_fn = functools.partial(
-            _execute_indexed, perf=worker_perf
-        )
     exec_span = pprof.span("execute", n_miss=len(misses), jobs=jobs)
     exec_span.__enter__()
     try:
-        if misses and not use_watchdog:
-            indexed = [(i, tasks[i]) for i in misses]
-            workers = min(jobs, len(indexed))
-            if workers <= 1:
-                completions: Iterable = map(execute_indexed_fn, indexed)
-                pool = None
-            else:
-                ctx = _mp_context()
-                pool = ctx.Pool(processes=workers)
-                completions = pool.imap_unordered(
-                    execute_indexed_fn, indexed, chunksize=1
-                )
-            try:
-                for i, res, wall, worker in completions:
-                    _complete(i, res, wall, worker)
-            except BaseException:
-                # KeyboardInterrupt or a worker exception: kill the pool
-                # now (no zombies), let the durable journal/registry lines
-                # already written stand, then re-raise
-                if pool is not None:
-                    pool.terminate()
-                    pool.join()
-                    pool = None
-                raise
-            finally:
-                if pool is not None:
-                    pool.close()
-                    pool.join()
-        elif misses:
-            items = [(i, tasks[i], fingerprints[i]) for i in misses]
-            gen = run_watchdog(
-                items,
-                execute_fn,
-                jobs=min(jobs, len(items)),
-                timeout=timeout,
-                retry=retry if retry_active else None,
-                chaos=chaos,
-            )
-            try:
-                for event in gen:
-                    if event[0] == "done":
-                        _, i, res, wall, worker, attempt = event
-                        _complete(i, res, wall, worker, attempt)
-                    elif event[0] == "retry":
-                        _retried(event[1], event[2])
-                    else:
-                        _terminal_failure(event[1], event[2])
-                        if on_error == "raise":
-                            abort_failure = event[2]
-                            break
-            finally:
-                # closing the generator kills any in-flight workers —
-                # this is the KeyboardInterrupt path too
-                gen.close()
+        if misses and _mp_context().get_start_method() == "fork":
+            # forked workers inherit the parent's trace cache: synthesize
+            # each WorkloadSpec's traces once here, not once per worker
+            from ..traces.synth import cached_traces
+
+            specs = {
+                (w.days, w.seed)
+                for i in misses
+                if isinstance(w := tasks[i].workload, WorkloadSpec)
+            }
+            for days, seed in sorted(specs):
+                cached_traces(days, seed)
+        items = [(i, tasks[i], fingerprints[i]) for i in misses]
+        gen = run_watchdog(
+            items,
+            execute_fn,
+            jobs=min(jobs, len(items)),
+            timeout=options.timeout,
+            retry=options.retry,
+            chaos=chaos,
+        )
+        try:
+            for event in gen:
+                if event[0] == "done":
+                    _, i, res, wall, worker, attempt = event
+                    _complete(i, res, wall, worker, attempt)
+                elif event[0] == "retry":
+                    _retried(event[1], event[2])
+                else:
+                    _terminal_failure(event[1], event[2])
+                    if options.on_error == "raise":
+                        abort_failure = event[2]
+                        break
+        finally:
+            # closing the generator kills any busy workers and stops the
+            # idle ones — this is the KeyboardInterrupt path too
+            gen.close()
     finally:
         exec_span.__exit__(None, None, None)
         if owns_journal:
@@ -803,58 +722,3 @@ def run_sweep(
     if abort_failure is not None:
         raise SweepError(report, ordered)
     return ordered
-
-
-@dataclass
-class SweepSpec:
-    """A sweep plus its execution settings, as one picklable value.
-
-    Convenience wrapper for callers that want to build a sweep in one
-    place and run it elsewhere (the experiment modules thread ``jobs`` /
-    ``cache_dir`` through this).
-    """
-
-    tasks: list[SimTask] = field(default_factory=list)
-    jobs: int = 1
-    cache_dir: str | Path | ResultCache | None = None
-
-    def add(self, task: SimTask) -> None:
-        self.tasks.append(task)
-
-    def run(self, **telemetry) -> list[TaskResult]:
-        """Execute; ``**telemetry`` forwards ``registry=``/``progress=``/
-        ``stats_out=`` to :func:`run_sweep`.  An already-open
-        :class:`ResultCache` passes through unwrapped so its hit/miss
-        counters stay visible to the caller.
-        """
-        if isinstance(self.cache_dir, ResultCache):
-            cache: ResultCache | None = self.cache_dir
-        else:
-            cache = ResultCache(self.cache_dir) if self.cache_dir else None
-        return run_sweep(self.tasks, jobs=self.jobs, cache=cache, **telemetry)
-
-
-def parallel_map(
-    fn: Callable, items: Iterable, jobs: int = 1, chunksize: int = 1
-) -> list:
-    """Order-preserving map over ``items``, optionally across processes.
-
-    ``fn`` must be a picklable top-level function and deterministic in its
-    argument for the serial/parallel equivalence guarantee to hold.  With
-    ``jobs <= 1`` this is exactly ``list(map(fn, items))``.
-    """
-    items = list(items)
-    workers = min(jobs, len(items)) if items else 0
-    if workers <= 1:
-        return [fn(item) for item in items]
-    ctx = _mp_context()
-    with ctx.Pool(processes=workers) as pool:
-        return pool.map(fn, items, chunksize=chunksize)
-
-
-def default_jobs() -> int:
-    """Worker count honouring ``REPRO_JOBS`` (default: serial)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_JOBS", "1")))
-    except ValueError:
-        return 1

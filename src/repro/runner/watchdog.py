@@ -1,20 +1,19 @@
-"""Parent-side watchdog: per-task timeouts, crash detection, seeded retries.
+"""The sweep executor: a supervised pool of persistent worker processes.
 
-:func:`repro.runner.run_sweep`'s default execution path assumes workers are
-perfect: a hung cell stalls the whole sweep, a crashed worker (OOM kill,
-segfault, injected chaos) tears it down, and a single poison cell throws
-away every completed result.  At the scale the roadmap targets —
-multi-host grids 10x today's — failures are the norm, not the exception,
-so this module supplies the hardened execution path:
+Every :func:`repro.runner.run_sweep` runs its cache misses through
+:func:`run_watchdog`, at every ``jobs`` value including 1:
 
-* **one process per task attempt** — each attempt runs in a fresh
-  (fork-preferred) process talking back over its own pipe, so a dying or
-  hung worker is trivially attributed to exactly one cell and can never
-  corrupt a shared queue;
-* a **watchdog loop** in the parent that polls every in-flight attempt,
-  detects dead workers (``exitcode`` without a result message), enforces
-  an optional per-task wall-clock ``timeout`` (terminate, then kill), and
-  respawns work into the freed slot;
+* **persistent workers** — up to ``jobs`` (fork-preferred) processes,
+  each talking to the parent over its own duplex pipe and serving cell
+  after cell; a worker is replaced only when it crashes or is killed
+  for a timeout, so one in-flight cell is always attributable to
+  exactly one process;
+* a **supervisor loop** in the parent that blocks on the worker pipes
+  and process sentinels (``multiprocessing.connection.wait``) until the
+  nearest cell deadline or retry backoff: a worker that dies without
+  reporting (OOM kill, segfault, injected chaos) is a ``crash`` of the
+  cell it held, and a cell past its optional wall-clock ``timeout`` is
+  killed (terminate, then kill) and reported as a ``timeout``;
 * **error classification** — worker-side exceptions are *transient*
   (worth retrying: ``OSError``/``MemoryError``, or any exception type
   carrying a truthy ``transient`` class attribute, e.g.
@@ -29,10 +28,10 @@ so this module supplies the hardened execution path:
   :class:`FailureReport`, and :class:`SweepError` carrying partial
   results when the caller asked failures to be fatal.
 
-Determinism note: the watchdog changes *where and when* attempts run,
-never any input to any simulation — the bit-identical-to-serial contract
-of ``run_sweep`` extends to retried and resumed runs (asserted in
-``tests/test_chaos.py``).
+Determinism note: the executor changes *where and when* attempts run,
+never any input to any simulation — the bit-identical-at-any-worker-count
+contract of ``run_sweep`` extends to retried and resumed runs (asserted
+in ``tests/test_chaos.py``).
 """
 
 from __future__ import annotations
@@ -41,9 +40,12 @@ import hashlib
 import heapq
 import json
 import multiprocessing
+import os
+import signal
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
+from multiprocessing.connection import wait
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -57,11 +59,6 @@ __all__ = [
     "is_transient",
     "run_watchdog",
 ]
-
-#: exit code a worker uses for chaos-injected crashes (documented so
-#: failure rows are recognizable in telemetry)
-CHAOS_EXIT_CODE = 17
-
 
 def _unit_draw(seed: int, *parts) -> float:
     """Deterministic uniform draw in ``[0, 1)`` from hashed labels.
@@ -230,71 +227,86 @@ class SweepError(RuntimeError):
 
 
 # --------------------------------------------------------------- worker side
-def _attempt_main(conn, execute, task, fingerprint, attempt, chaos) -> None:
-    """Run one attempt of one cell and report over ``conn``.
+def _worker_main(conn, execute, chaos) -> None:
+    """Serve ``(task, fingerprint, attempt)`` requests until told to stop.
 
     Chaos hooks (when configured) fire around the real execution:
     ``before_execute`` may crash the process, hang, or raise; a successful
     result may be corrupted by ``after_execute`` — the parent detects that
-    through the fingerprint check.  A worker that dies here without
-    sending anything is classified as a crash by the watchdog.
+    through the fingerprint check.  A worker that dies mid-cell without
+    replying (``SystemExit`` included) is classified as a crash by the
+    parent.  Ctrl-C is left to the parent, which kills its workers on the
+    way out; an orphaned worker (parent gone) exits on its own.
     """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     name = multiprocessing.current_process().name
-    try:
-        if chaos is not None:
-            chaos.before_execute(fingerprint, attempt)
-        t0 = time.perf_counter()
-        result = execute(task)
-        wall = time.perf_counter() - t0
-        if chaos is not None:
-            result = chaos.after_execute(result, fingerprint, attempt)
-        conn.send(("ok", result, wall, name))
-    except BaseException as exc:  # noqa: BLE001 - full classification boundary
+    parent = os.getppid()
+    while True:
+        while not conn.poll(1.0):
+            if os.getppid() != parent:
+                return
         try:
-            conn.send(
-                (
-                    "error",
-                    f"{type(exc).__name__}: {exc}",
-                    is_transient(exc),
-                    name,
-                    # partial perf sidecar attached by _execute_task under
-                    # run_sweep(perf=): the span tree up to the raise
-                    getattr(exc, "perf_payload", None),
-                )
+            request = conn.recv()
+        except (EOFError, OSError):
+            return
+        if request is None:
+            return
+        task, fingerprint, attempt = request
+        try:
+            if chaos is not None:
+                chaos.before_execute(fingerprint, attempt)
+            t0 = time.perf_counter()
+            result = execute(task)
+            wall = time.perf_counter() - t0
+            if chaos is not None:
+                result = chaos.after_execute(result, fingerprint, attempt)
+            reply = ("ok", result, wall, name)
+        except Exception as exc:
+            reply = (
+                "error",
+                f"{type(exc).__name__}: {exc}",
+                is_transient(exc),
+                name,
+                # partial perf sidecar attached by _execute_task under
+                # run_sweep(perf=): the span tree up to the raise
+                getattr(exc, "perf_payload", None),
             )
-        except Exception:
-            pass  # pipe gone: parent will classify this as a crash
-    finally:
-        conn.close()
+        try:
+            conn.send(reply)
+        except OSError:
+            return  # parent gone
 
 
 # --------------------------------------------------------------- parent side
+def _mp_context():
+    """Fork when available (inherits warm trace caches), else spawn."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
+
 @dataclass
-class _Slot:
-    """One in-flight attempt: process, pipe, and its deadline bookkeeping."""
+class _Worker:
+    """One worker process, its pipe, and the cell it is running (if any)."""
 
     proc: multiprocessing.Process
     conn: object
-    index: int
-    task: "SimTask"
-    fingerprint: str
-    attempt: int
-    started: float
+    index: int = -1
+    task: "SimTask | None" = None
+    fingerprint: str = ""
+    attempt: int = 0
+    started: float = 0.0
 
 
-def _kill_slot(slot: _Slot) -> None:
-    """Terminate an attempt process, escalating SIGTERM -> SIGKILL."""
-    proc = slot.proc
+def _kill(worker: _Worker) -> None:
+    """Terminate a worker, escalating SIGTERM -> SIGKILL, and reap it."""
+    proc = worker.proc
     if proc.is_alive():
         proc.terminate()
         proc.join(timeout=2.0)
         if proc.is_alive():
             proc.kill()
-            proc.join(timeout=2.0)
-    try:
-        slot.conn.close()
-    except OSError:
-        pass
+    proc.join(timeout=2.0)
+    worker.conn.close()
 
 
 def run_watchdog(
@@ -305,10 +317,8 @@ def run_watchdog(
     timeout: float | None = None,
     retry: RetryPolicy | None = None,
     chaos=None,
-    ctx=None,
-    poll_interval: float = 0.02,
 ) -> Iterator[tuple]:
-    """Drive task attempts through watchdogged processes; yield outcomes.
+    """Run task attempts on up to ``jobs`` supervised workers; yield outcomes.
 
     ``items`` is a sequence of ``(index, task, fingerprint)``.  Yields, in
     completion order:
@@ -321,148 +331,136 @@ def run_watchdog(
       retries exhausted, or no retry policy active).
 
     Closing the generator (including via an exception in the consuming
-    loop, e.g. ``KeyboardInterrupt``) kills every in-flight worker — no
-    zombies survive an abandoned sweep.
+    loop, e.g. ``KeyboardInterrupt``) kills every busy worker and stops
+    the idle ones — no process outlives the sweep.
     """
-    if ctx is None:
-        from .sweep import _mp_context
-
-        ctx = _mp_context()
+    ctx = _mp_context()
     max_attempts = retry.max_attempts if retry is not None else 1
 
     pending: deque = deque((i, task, fp, 1) for i, task, fp in items)
     delayed: list = []  # heap of (ready_at, tiebreak, pending-entry)
     tiebreak = 0
-    slots: list[_Slot] = []
+    idle: list[_Worker] = []
+    busy: list[_Worker] = []
 
-    def spawn(index: int, task, fingerprint: str, attempt: int) -> None:
-        recv, send = ctx.Pipe(duplex=False)
+    def spawn() -> _Worker:
+        conn, child = ctx.Pipe()
         proc = ctx.Process(
-            target=_attempt_main,
-            args=(send, execute, task, fingerprint, attempt, chaos),
-            daemon=True,
+            target=_worker_main, args=(child, execute, chaos), daemon=True
         )
         proc.start()
-        send.close()
-        slots.append(
-            _Slot(proc, recv, index, task, fingerprint, attempt, time.monotonic())
-        )
+        child.close()
+        return _Worker(proc, conn)
 
-    def failure(slot: _Slot, kind: str, message: str, transient: bool,
+    def failure(w: _Worker, kind: str, message: str, transient: bool,
                 worker: str = "", perf: dict | None = None) -> TaskFailure:
         return TaskFailure(
-            label=slot.task.label,
-            fingerprint=slot.fingerprint,
+            label=w.task.label,
+            fingerprint=w.fingerprint,
             kind=kind,
             message=message,
-            attempt=slot.attempt,
+            attempt=w.attempt,
             transient=transient,
-            wall_seconds=time.monotonic() - slot.started,
-            worker=worker or slot.proc.name,
-            exitcode=slot.proc.exitcode,
+            wall_seconds=time.monotonic() - w.started,
+            worker=worker or w.proc.name,
+            exitcode=w.proc.exitcode,
             perf=perf,
         )
 
+    def collect(w: _Worker) -> tuple | TaskFailure | None:
+        """The finished attempt's ``(result, wall, worker)`` or failure;
+        ``None`` while the cell is still running."""
+        if w.conn.poll():
+            try:
+                msg = w.conn.recv()
+            except (EOFError, OSError):
+                _kill(w)
+                return failure(
+                    w, "crash", "worker closed the pipe without a result", True
+                )
+            if msg[0] == "error":
+                _, message, transient, worker, perf = msg
+                return failure(w, "error", message, transient, worker, perf)
+            _, result, wall, worker = msg
+            if result.fingerprint != w.fingerprint:
+                return failure(
+                    w, "corrupt", "result fingerprint does not match the task",
+                    True, worker, perf=getattr(result, "perf", None),
+                )
+            return result, wall, worker
+        if not w.proc.is_alive():
+            w.proc.join(timeout=2.0)  # reap, so exitcode is final
+            w.conn.close()
+            return failure(
+                w, "crash", f"worker died (exit code {w.proc.exitcode})", True
+            )
+        if timeout is not None and time.monotonic() - w.started > timeout:
+            _kill(w)
+            return failure(
+                w, "timeout", f"exceeded the {timeout:g}s wall-clock limit", True
+            )
+        return None
+
     try:
-        while pending or delayed or slots:
+        while pending or delayed or busy:
             now = time.monotonic()
             while delayed and delayed[0][0] <= now:
-                _, _, entry = heapq.heappop(delayed)
-                pending.append(entry)
-            while pending and len(slots) < jobs:
-                spawn(*pending.popleft())
-            if not slots:
-                # everything alive is waiting out a backoff delay
-                if delayed:
-                    time.sleep(
-                        max(min(delayed[0][0] - time.monotonic(), 0.25), 0.0)
-                    )
-                continue
-
-            progressed = False
-            for slot in list(slots):
-                outcome: TaskFailure | None = None
-                done = None
-                if slot.conn.poll(0):
-                    try:
-                        msg = slot.conn.recv()
-                    except (EOFError, OSError):
-                        msg = None
-                    if msg is None:
-                        outcome = failure(
-                            slot, "crash",
-                            "worker closed the pipe without a result", True,
-                        )
-                    elif msg[0] == "ok":
-                        _, result, wall, worker = msg
-                        if result.fingerprint != slot.fingerprint:
-                            outcome = failure(
-                                slot, "corrupt",
-                                "result fingerprint does not match the task",
-                                True, worker,
-                                perf=getattr(result, "perf", None),
-                            )
-                        else:
-                            done = (result, wall, worker)
-                    else:
-                        _, message, transient, worker = msg[:4]
-                        outcome = failure(
-                            slot, "error", message, transient, worker,
-                            perf=msg[4] if len(msg) > 4 else None,
-                        )
-                    slot.proc.join(timeout=2.0)
-                    slot.conn.close()
-                elif not slot.proc.is_alive():
-                    # grace poll: the worker may have exited right after
-                    # writing its message
-                    if slot.conn.poll(0.05):
-                        continue  # picked up next loop iteration
-                    outcome = failure(
-                        slot, "crash",
-                        f"worker died (exit code {slot.proc.exitcode})", True,
-                    )
-                    slot.proc.join(timeout=2.0)
-                    slot.conn.close()
-                elif (
-                    timeout is not None
-                    and time.monotonic() - slot.started > timeout
-                ):
-                    _kill_slot(slot)
-                    outcome = failure(
-                        slot, "timeout",
-                        f"exceeded the {timeout:g}s wall-clock limit", True,
-                    )
-                else:
+                pending.append(heapq.heappop(delayed)[2])
+            while pending and (idle or len(busy) < jobs):
+                w = idle.pop() if idle else spawn()
+                if not w.proc.is_alive():  # exited while idle: replace it
+                    _kill(w)
                     continue
+                w.index, w.task, w.fingerprint, w.attempt = pending.popleft()
+                w.started = time.monotonic()
+                busy.append(w)
+                try:
+                    w.conn.send((w.task, w.fingerprint, w.attempt))
+                except OSError:
+                    pass  # died since the liveness check: collect() says crash
 
-                slots.remove(slot)
-                progressed = True
-                if done is not None:
-                    result, wall, worker = done
-                    yield ("done", slot.index, result, wall, worker, slot.attempt)
+            wake = [delayed[0][0]] if delayed else []
+            if timeout is not None:
+                wake += [w.started + timeout for w in busy]
+            wait_s = max(min(wake) - time.monotonic(), 0.0) if wake else None
+            if not busy:
+                time.sleep(wait_s)  # everything left is waiting out a backoff
+                continue
+            wait([w.conn for w in busy] + [w.proc.sentinel for w in busy], wait_s)
+
+            for w in list(busy):
+                outcome = collect(w)
+                if outcome is None:
+                    continue
+                busy.remove(w)
+                if not w.conn.closed:
+                    idle.append(w)
+                if isinstance(outcome, tuple):
+                    result, wall, worker = outcome
+                    yield ("done", w.index, result, wall, worker, w.attempt)
                 elif (
                     retry is not None
                     and outcome.transient
-                    and slot.attempt < max_attempts
+                    and w.attempt < max_attempts
                 ):
-                    yield ("retry", slot.index, outcome)
-                    ready = time.monotonic() + retry.delay(
-                        slot.fingerprint, slot.attempt
-                    )
+                    yield ("retry", w.index, outcome)
+                    ready = time.monotonic() + retry.delay(w.fingerprint, w.attempt)
                     tiebreak += 1
                     heapq.heappush(
                         delayed,
-                        (
-                            ready,
-                            tiebreak,
-                            (slot.index, slot.task, slot.fingerprint,
-                             slot.attempt + 1),
-                        ),
+                        (ready, tiebreak,
+                         (w.index, w.task, w.fingerprint, w.attempt + 1)),
                     )
                 else:
-                    yield ("failed", slot.index, outcome)
-            if not progressed:
-                time.sleep(poll_interval)
+                    yield ("failed", w.index, outcome)
     finally:
-        for slot in slots:
-            _kill_slot(slot)
+        for w in busy:
+            _kill(w)
+        for w in idle:
+            try:
+                w.conn.send(None)
+            except OSError:
+                pass
+        for w in idle:
+            w.proc.join(timeout=2.0)
+            _kill(w)

@@ -48,7 +48,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ChaosConfig", "ChaosError", "NO_CHAOS"]
 
-#: worker exit code for injected crashes (mirrors runner.watchdog.CHAOS_EXIT_CODE)
+#: worker exit code for injected crashes, so a crash failure row
+#: (``TaskFailure.exitcode``) shows it was injected
 CHAOS_EXIT_CODE = 17
 
 

@@ -39,6 +39,7 @@ from repro.runner import (
 )
 from repro.sched import EASY, SimWorkload
 from repro.testkit import NO_CHAOS, ChaosConfig, ChaosError
+from repro.testkit.chaos import CHAOS_EXIT_CODE
 
 
 def wl(n=20, seed=3):
@@ -325,7 +326,7 @@ class TestOnErrorPolicies:
     def test_raise_aborts_with_partial_results(self):
         tasks = grid(wl(n=6), policies=("fcfs", "no-such-policy", "sjf"))
         with pytest.raises(SweepError) as exc_info:
-            run_sweep(tasks, jobs=1, timeout=60.0)
+            run_sweep(tasks, jobs=1)
         err = exc_info.value
         assert not err.report.ok
         assert len(err.results) == 3
@@ -346,12 +347,69 @@ class TestOnErrorPolicies:
         with pytest.raises(ValueError):
             run_sweep(tasks, timeout=0.0)
 
-    def test_default_path_still_raises_raw(self):
-        # no crash-safety options => original pool path, raw exception
-        tasks = grid(wl(n=6), policies=("no-such-policy",))
-        with pytest.raises(Exception) as exc_info:
-            run_sweep(tasks, jobs=1)
-        assert not isinstance(exc_info.value, SweepError)
+
+class TestSupervisedPool:
+    """The one executor: persistent workers under a supervising parent."""
+
+    def test_workers_persist_across_cells(self):
+        tasks = grid(wl(n=8), policies=("fcfs", "sjf", "f1", "wfp3") * 2)
+        results = run_sweep(tasks, jobs=2)
+        assert len({r.worker for r in results}) == 2
+
+    def test_chaos_crash_rows_carry_the_exit_code(self):
+        tasks = grid(wl(n=6), policies=("fcfs", "sjf"))
+        report = FailureReport()
+        results = run_sweep(
+            tasks,
+            jobs=2,
+            chaos=ChaosConfig(crash_p=1.0, seed=0),
+            on_error="skip",
+            failures_out=report,
+        )
+        assert results == [None, None]
+        assert [f.kind for f in report.failures] == ["crash", "crash"]
+        assert all(f.exitcode == CHAOS_EXIT_CODE for f in report.failures)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_worker_outlives_the_sweep(self, jobs):
+        run_sweep(grid(wl(n=6)), jobs=jobs)
+        assert not multiprocessing.active_children()
+        with pytest.raises(SweepError):
+            run_sweep(grid(wl(n=6), policies=("fcfs", "no-such-policy")),
+                      jobs=jobs)
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.timeout_s(60)
+    def test_dying_worker_fails_the_sweep_instead_of_hanging(self, monkeypatch):
+        """A worker killed mid-cell (as by the OOM killer) is a crash."""
+        import os
+
+        import repro.runner.sweep as sweep_mod
+
+        run_cell = sweep_mod._run_cell
+
+        def oom_killed(task, *args, **kwargs):
+            if task.label == "sjf":
+                os._exit(137)
+            return run_cell(task, *args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "_run_cell", oom_killed)
+        with pytest.raises(SweepError) as exc_info:
+            run_sweep(grid(wl(n=6)), jobs=2)
+        [failure] = exc_info.value.report.failures
+        assert (failure.label, failure.kind) == ("sjf", "crash")
+        assert failure.exitcode == 137
+        assert not multiprocessing.active_children()
+
+    def test_parent_trace_cache_warmed_before_forking(self):
+        from repro.runner import WorkloadSpec
+        from repro.traces.synth import cached_traces
+
+        spec = WorkloadSpec(system="theta", days=1.0, seed=7, max_jobs=50)
+        run_sweep([SimTask(label="theta", workload=spec)], jobs=1)
+        hits = cached_traces.cache_info().hits
+        cached_traces(spec.days, spec.seed)
+        assert cached_traces.cache_info().hits == hits + 1
 
 
 class TestWatchdogTimeout:

@@ -323,6 +323,66 @@ class TestCliCrashSafety:
         assert "policy sweep" in out
 
 
+#: every runner and crash-safety flag, set away from its default
+RUN_FLAGS = [
+    "--jobs", "2", "--cache-dir", "c", "--no-cache", "--task-timeout", "5",
+    "--on-error", "skip", "--task-retries", "2", "--retry-backoff", "0",
+    "--journal", "j.jsonl", "--resume", "--fsync",
+]
+
+
+class TestRunFlagsShared:
+    """``repro simulate`` and ``python -m repro.experiments`` take one flag set."""
+
+    def test_both_parsers_expose_the_same_run_flags(self, monkeypatch):
+        import argparse
+
+        from repro.experiments.__main__ import main as experiments_main
+        from repro.runner import add_run_arguments
+
+        bare = argparse.ArgumentParser()
+        add_run_arguments(bare)
+        defaults = vars(bare.parse_args([]))
+        flagged = vars(bare.parse_args(RUN_FLAGS))
+        assert defaults != flagged  # RUN_FLAGS moves every flag
+
+        class Parsed(Exception):
+            pass
+
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def stop_after_parsing(self, args=None, namespace=None):
+            raise Parsed(vars(parse_args(self, args, namespace)))
+
+        monkeypatch.setattr(
+            argparse.ArgumentParser, "parse_args", stop_after_parsing
+        )
+        for cli, argv in ((main, ["simulate", "t.swf"]),
+                          (experiments_main, ["table2"])):
+            for extra, expected in (([], defaults), (RUN_FLAGS, flagged)):
+                with pytest.raises(Parsed) as parsed:
+                    cli(argv + extra)
+                got = parsed.value.args[0]
+                assert {k: got[k] for k in expected} == expected
+
+    def test_experiments_refuse_existing_journal_without_resume(
+        self, tmp_path, capsys
+    ):
+        from repro.experiments.__main__ import main as experiments_main
+
+        journal = tmp_path / "sweep.jsonl"
+        argv = ["ext_policies", "--days", "2", "--max-jobs", "100",
+                "--journal", str(journal)]
+        assert experiments_main(argv) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc_info:
+            experiments_main(argv)
+        assert exc_info.value.code == 2
+        assert "--resume" in capsys.readouterr().err
+        # acknowledged, the same journal replays every cell
+        assert experiments_main(argv + ["--resume"]) == 0
+
+
 class TestCliRunTelemetry:
     def test_run_log_records_every_cell(self, swf_path, tmp_path, capsys):
         log = tmp_path / "runs.jsonl"

@@ -19,13 +19,10 @@ import pytest
 from repro.runner import (
     ResultCache,
     SimTask,
-    SweepSpec,
     TaskResult,
     WorkloadSpec,
     code_version,
-    default_jobs,
     derive_seed,
-    parallel_map,
     run_sweep,
     stable_hash,
     workload_fingerprint,
@@ -226,7 +223,7 @@ class TestRunSweep:
     def test_wall_and_worker_excluded_from_payload(self):
         (r,) = run_sweep(grid_tasks(small_workload(), policies=("fcfs",)))
         assert r.wall_seconds > 0
-        assert r.worker == "MainProcess"
+        assert r.worker not in ("", "MainProcess")  # ran in a child worker
         assert "wall_seconds" not in r.payload()
         assert "worker" not in r.payload()
 
@@ -318,57 +315,3 @@ class TestResultCache:
         clone = TaskResult.from_payload(r.label, r.fingerprint, r.payload(), True)
         assert clone.metrics == r.metrics
         assert clone.cached
-
-
-def _square(x):
-    return x * x
-
-
-class TestParallelMap:
-    def test_serial_equals_parallel(self):
-        items = list(range(10))
-        assert parallel_map(_square, items, jobs=1) == parallel_map(
-            _square, items, jobs=3
-        )
-
-    def test_empty(self):
-        assert parallel_map(_square, [], jobs=4) == []
-
-
-class TestSweepSpec:
-    def test_add_and_run(self, tmp_path):
-        spec = SweepSpec(jobs=1, cache_dir=tmp_path / "c")
-        for t in grid_tasks(small_workload(), policies=("fcfs", "sjf")):
-            spec.add(t)
-        first = spec.run()
-        assert [r.label for r in first] == ["fcfs", "sjf"]
-        assert all(r.cached for r in spec.run())
-
-    def test_result_cache_instance_passes_through(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
-        spec = SweepSpec(
-            tasks=grid_tasks(small_workload(), policies=("fcfs",)),
-            cache_dir=cache,
-        )
-        spec.run()
-        # the caller's instance is used directly, so its counters survive
-        assert (cache.hits, cache.misses) == (0, 1)
-        assert all(r.cached for r in spec.run())
-        assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_run_forwards_telemetry(self, tmp_path):
-        from repro.obs import RunRegistry
-
-        spec = SweepSpec(tasks=grid_tasks(small_workload(), policies=("fcfs",)))
-        with RunRegistry(tmp_path / "runs.jsonl") as reg:
-            spec.run(registry=reg)
-        assert reg.count == 1
-
-
-def test_default_jobs_env(monkeypatch):
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    assert default_jobs() == 1
-    monkeypatch.setenv("REPRO_JOBS", "4")
-    assert default_jobs() == 4
-    monkeypatch.setenv("REPRO_JOBS", "garbage")
-    assert default_jobs() == 1

@@ -362,7 +362,8 @@ class TestSweepIntegration:
         assert [r["seq"] for r in recs] == list(range(len(tasks)))
         assert all(r["wall_seconds"] > 0 for r in recs)
         assert all(not r["cached"] for r in recs)
-        assert all(r["worker"] == "MainProcess" for r in recs)
+        # every cell ran in a child worker, even at the default jobs=1
+        assert all(r["worker"] not in ("", "MainProcess") for r in recs)
         # metrics travel with the record (minable without the cache)
         assert recs[0]["metrics"] == results[0].metrics
 
