@@ -5,8 +5,9 @@ The crash-safety acceptance test run by CI (and runnable by hand):
 
 1. **Clean baseline** — a small policy sweep run serially.
 2. **Chaos run** — the same sweep with 30% injected worker crashes and
-   20% transient errors, healed by the watchdog's seeded retries; its
-   results must be **bit-identical** to the baseline.
+   20% transient errors (the first chaos seed that faults some first
+   attempt and lets every cell heal), healed by the supervised pool's
+   seeded retries; its results must be **bit-identical** to the baseline.
 3. **Kill + resume** — the sweep is aborted partway (simulating a
    SIGKILL mid-campaign), then resumed from its journal; the resume must
    recompute **zero** already-completed cells and again match the
@@ -94,13 +95,26 @@ def main(argv=None) -> int:
     print(f"baseline: {len(tasks)} cells in {base_s:.1f}s (serial, no chaos)")
 
     # 2. chaos + retries => bit-identical ------------------------------------
-    chaos = ChaosConfig(crash_p=0.3, error_p=0.2, seed=7)
-    faulty_first_attempts = sum(
-        chaos.fault_for(t.fingerprint(), 1) is not None for t in tasks
+    # fingerprints hash code_version(), so any engine edit reshuffles the
+    # chaos draws: take the first seed that faults at least one first
+    # attempt and still gives every cell a clean attempt within the budget
+    retry = RetryPolicy(max_attempts=8, backoff_base=0.0)
+    fingerprints = [t.fingerprint() for t in tasks]
+    chaos = next(
+        cfg
+        for seed in range(64)
+        for cfg in (ChaosConfig(crash_p=0.3, error_p=0.2, seed=seed),)
+        if any(cfg.fault_for(fp, 1) for fp in fingerprints)
+        and all(
+            any(
+                cfg.fault_for(fp, attempt) is None
+                for attempt in range(1, retry.max_attempts + 1)
+            )
+            for fp in fingerprints
+        )
     )
-    assert faulty_first_attempts > 0, (
-        "chaos seed drew no faults at all; raise the probabilities or "
-        "change the seed so the smoke actually exercises the watchdog"
+    faulty_first_attempts = sum(
+        chaos.fault_for(fp, 1) is not None for fp in fingerprints
     )
     report = FailureReport()
     stats = SweepStats()
@@ -109,7 +123,7 @@ def main(argv=None) -> int:
         jobs=args.jobs,
         chaos=chaos,
         on_error="retry",
-        retry=RetryPolicy(max_attempts=8, backoff_base=0.0),
+        retry=retry,
         failures_out=report,
         stats_out=stats,
     )
