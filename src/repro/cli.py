@@ -467,7 +467,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         args.task_timeout is not None
         or args.on_error != "raise"
         or args.task_retries is not None
-        or args.journal is not None
+        or args.journal is not None or args.resume
     )
     if wants_obs:
         if wants_crash_safety:

@@ -370,36 +370,34 @@ def run_watchdog(
     def collect(w: _Worker) -> tuple | TaskFailure | None:
         """The finished attempt's ``(result, wall, worker)`` or failure;
         ``None`` while the cell is still running."""
+        msg = None
         if w.conn.poll():
             try:
                 msg = w.conn.recv()
             except (EOFError, OSError):
-                _kill(w)
-                return failure(
-                    w, "crash", "worker closed the pipe without a result", True
-                )
-            if msg[0] == "error":
-                _, message, transient, worker, perf = msg
-                return failure(w, "error", message, transient, worker, perf)
-            _, result, wall, worker = msg
-            if result.fingerprint != w.fingerprint:
-                return failure(
-                    w, "corrupt", "result fingerprint does not match the task",
-                    True, worker, perf=getattr(result, "perf", None),
-                )
-            return result, wall, worker
-        if not w.proc.is_alive():
-            w.proc.join(timeout=2.0)  # reap, so exitcode is final
-            w.conn.close()
-            return failure(
-                w, "crash", f"worker died (exit code {w.proc.exitcode})", True
-            )
-        if timeout is not None and time.monotonic() - w.started > timeout:
+                pass  # the pipe closed: the worker died mid-cell
+        elif w.proc.is_alive():
+            if timeout is None or time.monotonic() - w.started <= timeout:
+                return None
             _kill(w)
             return failure(
                 w, "timeout", f"exceeded the {timeout:g}s wall-clock limit", True
             )
-        return None
+        if msg is None:
+            _kill(w)  # reap, so exitcode is final
+            return failure(
+                w, "crash", f"worker died (exit code {w.proc.exitcode})", True
+            )
+        if msg[0] == "error":
+            _, message, transient, worker, perf = msg
+            return failure(w, "error", message, transient, worker, perf)
+        _, result, wall, worker = msg
+        if result.fingerprint != w.fingerprint:
+            return failure(
+                w, "corrupt", "result fingerprint does not match the task",
+                True, worker, perf=getattr(result, "perf", None),
+            )
+        return result, wall, worker
 
     try:
         while pending or delayed or busy:

@@ -290,6 +290,13 @@ class TestCliCrashSafety:
         ) == 2
         assert "harden" in capsys.readouterr().err
 
+    def test_obs_flags_reject_resume(self, swf_path, capsys):
+        assert main(
+            ["simulate", str(swf_path), "--max-jobs", "50", "--profile",
+             "--resume"]
+        ) == 2
+        assert "harden" in capsys.readouterr().err
+
     def test_journal_records_and_resumes(self, swf_path, tmp_path, capsys):
         journal = tmp_path / "sweep.jsonl"
         argv = ["simulate", str(swf_path), "--max-jobs", "150",
