@@ -12,15 +12,20 @@ The two log-densities are evaluated with the kernels that
 ``scipy.stats.norm.logpdf`` and ``norm.logcdf`` reduce to at ``loc=0``,
 ``scale=1`` -- ``-z**2 / 2 - log(sqrt(2 pi))`` and
 ``scipy.special.log_ndtr`` -- so the likelihood is bit-identical to the
-``norm`` calls without their per-call argument handling.
+``norm`` calls without their per-call argument handling.  Likewise
+``predict_quantile`` uses ``scipy.special.ndtri``, which is what
+``norm.ppf`` reduces to at ``loc=0``, ``scale=1``.
+
+scipy is imported inside ``fit`` and ``predict_quantile``, not at module
+level: ``import repro`` reaches this module through ``repro.sched`` and
+``repro.predict``, and most of the package (the characterization, the
+schedulers) never fits a Tobit model, so only a process that does pays
+for loading scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import log_ndtr
-from scipy.stats import norm
 
 from .base import check_X, check_Xy
 from .linear import LinearRegression
@@ -56,6 +61,9 @@ class TobitRegressor:
         bound).  With no censoring the model reduces to OLS with a Gaussian
         noise estimate; OLS is also the optimizer's warm start.
         """
+        from scipy.optimize import minimize
+        from scipy.special import log_ndtr
+
         X, y = check_Xy(X, y)
         n, d = X.shape
         if censored is None:
@@ -120,4 +128,6 @@ class TobitRegressor:
         little accuracy for a much lower underestimation rate."""
         if not 0.0 < q < 1.0:
             raise ValueError("q must be in (0, 1)")
-        return self.predict(X) + self.sigma_ * norm.ppf(q)
+        from scipy.special import ndtri
+
+        return self.predict(X) + self.sigma_ * ndtri(q)
