@@ -3,9 +3,10 @@
 Three claims from the runner's contract are measured on the exact
 ``ext_resilience`` task grid (reduced job count, bench trace window):
 
-* fanning the sweep over 4 workers is at least ~2x faster than serial
-  (asserted only on machines with >= 4 CPUs — elsewhere the comparison
-  is meaningless and the test skips);
+* fanning the sweep over 2 or 4 workers is faster than serial, by at
+  least ``MIN_SPEEDUP[workers]`` (each case runs only on a machine with
+  at least that many CPUs — with fewer the comparison is meaningless and
+  it skips);
 * a warm on-disk cache serves the whole sweep at near-zero cost compared
   to recomputing it;
 * parallel and serial sweeps return bit-identical payloads, so the
@@ -29,6 +30,27 @@ from conftest import BENCH_DAYS, BENCH_SEED
 
 #: reduced per-cell job count: 27 fault-injected cells stay in seconds
 BENCH_MAX_JOBS = 1200
+
+#: least speedup over serial asserted per worker count.  The 2-worker bar
+#: sits below the range measured on a 2-core VM, where the parent process
+#: shares the cores with both workers (docs/PARALLELISM.md, "Benchmarks").
+MIN_SPEEDUP = {2: 1.5, 4: 2.0}
+#: interleaved serial/parallel runs per speedup measurement
+SPEEDUP_ROUNDS = 3
+
+#: worker counts of the pool benches; each skips below its CPU count
+POOL_WORKERS = pytest.mark.parametrize(
+    "workers",
+    [
+        pytest.param(
+            n,
+            marks=pytest.mark.skipif(
+                (os.cpu_count() or 1) < n, reason=f"needs >= {n} CPUs"
+            ),
+        )
+        for n in sorted(MIN_SPEEDUP)
+    ],
+)
 
 
 def _tasks():
@@ -66,35 +88,39 @@ def test_bench_warm_cache(benchmark, tmp_path):
     )
 
 
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4,
-    reason="speedup assertion needs >= 4 CPUs",
-)
-def test_parallel_speedup_and_identity():
-    """>=2x at 4 workers, with payloads bit-identical to serial."""
+@POOL_WORKERS
+def test_parallel_speedup_and_identity(workers, record_property):
+    """At least ``MIN_SPEEDUP[workers]``, payloads bit-identical to serial.
+
+    Each side is timed as the best of ``SPEEDUP_ROUNDS`` interleaved runs,
+    so one run slowed by another process on a small machine does not
+    decide the ratio.
+    """
     tasks = _tasks()
+    run_sweep(tasks[:2], jobs=workers)  # warm the per-process trace cache
 
-    t0 = time.perf_counter()
-    serial = run_sweep(tasks, jobs=1)
-    serial_s = time.perf_counter() - t0
+    serial_s = fanned_s = float("inf")
+    for _ in range(SPEEDUP_ROUNDS):
+        t0 = time.perf_counter()
+        serial = run_sweep(tasks, jobs=1)
+        serial_s = min(serial_s, time.perf_counter() - t0)
 
-    t0 = time.perf_counter()
-    fanned = run_sweep(tasks, jobs=4)
-    fanned_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        fanned = run_sweep(tasks, jobs=workers)
+        fanned_s = min(fanned_s, time.perf_counter() - t0)
 
     assert [r.payload() for r in fanned] == [r.payload() for r in serial]
     speedup = serial_s / fanned_s
-    assert speedup >= 2.0, (
-        f"expected >=2x at 4 workers, got {speedup:.2f}x "
+    record_property("speedup", round(speedup, 3))
+    assert speedup >= MIN_SPEEDUP[workers], (
+        f"expected >={MIN_SPEEDUP[workers]}x at {workers} workers, "
+        f"got {speedup:.2f}x "
         f"(serial {serial_s:.2f}s, parallel {fanned_s:.2f}s)"
     )
 
 
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4,
-    reason="overhead comparison needs >= 4 CPUs",
-)
-def test_watchdog_overhead_bounded():
+@POOL_WORKERS
+def test_watchdog_overhead_bounded(workers, record_property):
     """A per-cell deadline must stay within ~3x of a sweep without one.
 
     Both calls run on the same supervised pool of persistent workers, so
@@ -106,17 +132,19 @@ def test_watchdog_overhead_bounded():
     run_sweep(tasks[:2], jobs=2)  # warm the per-process trace cache
 
     t0 = time.perf_counter()
-    plain = run_sweep(tasks, jobs=4)
+    plain = run_sweep(tasks, jobs=workers)
     plain_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    hardened = run_sweep(tasks, jobs=4, timeout=600.0, on_error="skip")
+    hardened = run_sweep(tasks, jobs=workers, timeout=600.0, on_error="skip")
     hardened_s = time.perf_counter() - t0
 
     assert [r.payload() for r in hardened] == [r.payload() for r in plain]
     overhead = hardened_s / plain_s
+    record_property("overhead", round(overhead, 3))
     assert overhead < 3.0, (
-        f"watchdog path {overhead:.2f}x over plain pool "
+        f"deadline + skip sweep {overhead:.2f}x over one without "
+        f"at {workers} workers "
         f"(plain {plain_s:.2f}s, hardened {hardened_s:.2f}s)"
     )
 
