@@ -1,6 +1,5 @@
 """Cross-system characterization core (the paper's primary contribution)."""
 
-from .adaptive import AdaptiveComparison, improvement_pct, run_use_case2
 from .advisor import Recommendation, advise
 from .compare import (
     WorkloadSignature,
@@ -79,7 +78,4 @@ __all__ = [
     "UserStatusProfile",
     "evaluate_takeaways",
     "TakeawayResult",
-    "run_use_case2",
-    "AdaptiveComparison",
-    "improvement_pct",
 ]

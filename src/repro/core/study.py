@@ -14,11 +14,10 @@ every analysis of the paper as one method each, so the quickstart is::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from ..predict.harness import ElapsedComparison, run_use_case1
 from ..traces.schema import Trace
 from ..traces.synth import generate_all_traces
-from .adaptive import AdaptiveComparison, run_use_case2
 from .corehours import CoreHourShares, core_hour_shares
 from .failures import StatusByClass, StatusShares, status_by_class, status_shares
 from .geometry import GeometrySummary, analyze_geometry
@@ -34,6 +33,10 @@ from .users import (
 )
 from .utilization import UtilizationSeries, analyze_utilization
 from .waiting import WaitByClass, WaitSummary, wait_by_class, wait_summary
+
+if TYPE_CHECKING:
+    from ..predict.harness import ElapsedComparison
+    from ..sched.adaptive import AdaptiveComparison
 
 __all__ = ["CrossSystemStudy"]
 
@@ -129,6 +132,10 @@ class CrossSystemStudy:
 
     def prediction(self, systems: list[str] | None = None, **kwargs) -> dict[str, ElapsedComparison]:
         """Use case 1 (Fig 12): elapsed-time runtime prediction."""
+        # the use cases import the prediction and scheduler stacks, which the
+        # characterization never needs, so they load on first use
+        from ..predict.harness import run_use_case1
+
         names = systems or self.systems()
         return {n: run_use_case1(self.traces[n], **kwargs) for n in names}
 
@@ -136,5 +143,7 @@ class CrossSystemStudy:
         self, systems: list[str] | None = None, **kwargs
     ) -> dict[str, AdaptiveComparison]:
         """Use case 2 (Table II): adaptive relaxed backfilling."""
+        from ..sched.adaptive import run_use_case2
+
         names = systems or [s for s in SIMULATABLE if s in self.traces]
         return {n: run_use_case2(self.traces[n], **kwargs) for n in names}

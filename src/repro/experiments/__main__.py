@@ -11,7 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from ..runner.options import add_run_arguments, run_options_from_args
-from . import REGISTRY, run_experiment
+from . import REGISTRY, experiment_module
 from .common import DEFAULT_DAYS, DEFAULT_SEED
 
 __all__ = ["main"]
@@ -105,32 +105,32 @@ def main(argv: list[str] | None = None) -> int:
         for key, (_, desc) in REGISTRY.items():
             print(f"{key:8s} {desc}")
         return 0
+    ids = list(REGISTRY) if args.experiment == "all" else [args.experiment]
+    try:
+        # before the options open the cache and journal, so that an unknown
+        # id leaves no files behind
+        modules = [experiment_module(exp_id) for exp_id in ids]
+    except KeyError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     try:
         # one ResultCache and one journal for every experiment of the run,
         # so the cache's hit/miss counters can be reported per experiment
         options = replace(run_options_from_args(args), perf=perf)
     except ValueError as exc:
         parser.error(str(exc))
-    ids = list(REGISTRY) if args.experiment == "all" else [args.experiment]
     cache = options.cache
     with options.journal or nullcontext():
-        for exp_id in ids:
+        for exp_id, module in zip(ids, modules):
             t0 = time.time()
             hits0, misses0 = (cache.hits, cache.misses) if cache else (0, 0)
-            try:
-                kwargs = {"days": args.days, "seed": args.seed}
-                entry = REGISTRY.get(exp_id)
-                params = (
-                    inspect.signature(entry[0].run).parameters if entry else {}
-                )
-                if args.max_jobs > 0 and "max_jobs" in params:
-                    kwargs["max_jobs"] = args.max_jobs
-                if "options" in params:
-                    kwargs["options"] = options
-                result = run_experiment(exp_id, **kwargs)
-            except KeyError as exc:
-                print(exc, file=sys.stderr)
-                return 2
+            kwargs = {"days": args.days, "seed": args.seed}
+            params = inspect.signature(module.run).parameters
+            if args.max_jobs > 0 and "max_jobs" in params:
+                kwargs["max_jobs"] = args.max_jobs
+            if "options" in params:
+                kwargs["options"] = options
+            result = module.run(**kwargs)
             print(result.render())
             if args.save:
                 txt, js = result.save(args.save)

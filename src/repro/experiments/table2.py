@@ -1,6 +1,6 @@
 """Table II — scheduling performance with adaptive relaxed backfilling.
 
-Mirrors :func:`repro.core.adaptive.run_use_case2` cell for cell, but runs
+Mirrors :func:`repro.sched.run_use_case2` cell for cell, but runs
 the per-system simulations through :func:`repro.runner.run_sweep` so the
 three systems' relaxed runs (and then their adaptive runs) execute in
 parallel and memoize into the on-disk result cache.  The adaptive run's
@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..core.adaptive import improvement_pct
 from ..runner import ResultCache, RunOptions, SimTask, WorkloadSpec, run_sweep
-from ..sched import adaptive_relaxed, relaxed
+from ..sched import adaptive_relaxed, improvement_pct, relaxed
 from ..viz import render_table
 from .common import DEFAULT_DAYS, DEFAULT_SEED, ExperimentResult
 

@@ -9,6 +9,7 @@ a differential workload fuzzer with reproducer shrinking
 (``python -m repro.cli fuzz``).  See ``docs/TESTING.md``.
 """
 
+from .adaptive import AdaptiveComparison, improvement_pct, run_use_case2
 from .backfill import EASY, NO_BACKFILL, BackfillConfig, adaptive_relaxed, relaxed
 from .conservative import simulate_conservative
 from .engine import SimResult, simulate
@@ -46,6 +47,9 @@ __all__ = [
     "compute_resilience_metrics",
     "simulate_virtual_clusters",
     "simulate_with_predictions",
+    "run_use_case2",
+    "AdaptiveComparison",
+    "improvement_pct",
     "VirtualClusterResult",
     "PredictiveOutcome",
     "isolation_cost",

@@ -8,9 +8,12 @@ terminal, faithful enough to spot backfilling decisions.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from ..sched.engine import SimResult
+if TYPE_CHECKING:
+    from ..sched.engine import SimResult
 
 __all__ = ["render_gantt", "render_occupancy"]
 

@@ -1,10 +1,12 @@
 """Integration tests: every experiment runs end-to-end and reproduces the
 paper's qualitative shapes at a reduced scale."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.experiments import REGISTRY, run_experiment
+from repro.experiments import REGISTRY, ExperimentResult, run_experiment
 from repro.experiments.__main__ import main as cli_main
 
 DAYS = 5.0
@@ -191,8 +193,28 @@ class TestCli:
         assert cli_main(["table1"]) == 0
         assert "Mira" in capsys.readouterr().out
 
-    def test_cli_unknown(self, capsys):
-        assert cli_main(["fig99"]) == 2
+    def test_cli_unknown(self, capsys, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        assert cli_main(["fig99", "--journal", str(journal)]) == 2
+        err = capsys.readouterr().err
+        assert "fig99" in err and all(exp_id in err for exp_id in REGISTRY)
+        assert not journal.exists()
+
+    def test_cli_all_runs_in_registry_order(self, monkeypatch, capsys):
+        ran = []
+
+        def fake_module(exp_id):
+            def run(days, seed):
+                ran.append(exp_id)
+                return ExperimentResult(exp_id=exp_id, title="stub")
+
+            return SimpleNamespace(run=run)
+
+        monkeypatch.setattr(
+            "repro.experiments.__main__.experiment_module", fake_module
+        )
+        assert cli_main(["all"]) == 0
+        assert ran == list(REGISTRY)
 
 
 def test_unknown_experiment_raises():

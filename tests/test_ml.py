@@ -2,8 +2,6 @@
 
 import json
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro
 from repro.ml import (
     DecisionTreeRegressor,
     GradientBoostingRegressor,
@@ -262,26 +259,6 @@ class TestTobit:
         for q in (0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.999):
             expected = tob.predict(X) + tob.sigma_ * norm.ppf(q)
             assert np.array_equal(tob.predict_quantile(X, q), expected), q
-
-    def test_package_import_does_not_load_scipy(self):
-        # scipy is imported by the Tobit methods that use it, so a process
-        # that never fits a Tobit model never loads it
-        src = str(Path(repro.__file__).resolve().parent.parent)
-        code = (
-            "import sys\n"
-            "import repro, repro.experiments, repro.core, repro.cli\n"
-            "print(sorted(m for m in sys.modules"
-            " if m == 'scipy' or m.startswith('scipy.')))\n"
-        )
-        env = {**os.environ, "PYTHONPATH": src}
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "[]", out.stdout
 
 
 class TestTrainingTelemetry:

@@ -4,6 +4,7 @@ import pytest
 
 from repro import CrossSystemStudy
 from repro.core import evaluate_takeaways
+from repro.experiments import get_traces, run_experiment
 from repro.traces.synth import generate_trace
 
 
@@ -81,3 +82,15 @@ def test_backfilling_entry_point(study):
 def test_backfilling_defaults_to_simulatable_systems(study):
     out = study.backfilling(max_jobs=400)
     assert set(out) == {"blue_waters", "mira", "theta"}
+
+
+def test_backfilling_equals_table2():
+    # experiments/table2.py runs run_use_case2's two simulations per system
+    # through run_sweep; every cell must equal the serial use case exactly
+    serial = CrossSystemStudy.from_traces(get_traces()).backfilling(max_jobs=2000)
+    table = run_experiment("table2", max_jobs=2000).data
+    assert set(table) == set(serial) == {"blue_waters", "mira", "theta"}
+    for name, comparison in serial.items():
+        assert table[name]["relaxed"] == comparison.relaxed.as_dict(), name
+        assert table[name]["adaptive"] == comparison.adaptive.as_dict(), name
+        assert table[name]["improvements"] == comparison.improvements(), name
