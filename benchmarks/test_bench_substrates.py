@@ -6,15 +6,8 @@ from repro.sched import simulate_conservative, simulate_packed, workload_from_tr
 from repro.traces.synth import (
     fit_calibration,
     fit_lognormal_mixture,
-    generate_lublin_trace,
     generate_trace,
 )
-
-
-def test_bench_lublin_generator(benchmark):
-    """Lublin-Feitelson model throughput (10 synthetic days)."""
-    trace = benchmark(generate_lublin_trace, 10.0, 3)
-    assert trace.num_jobs > 1000
 
 
 def test_bench_mixture_em(benchmark):

@@ -88,7 +88,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             return 2
         from .obs import analyze_events, load_events
 
-        analysis = analyze_events(load_events(args.trace))
+        try:
+            events = load_events(args.trace)
+        except OSError as exc:
+            print(f"cannot read {args.trace}: {exc}", file=sys.stderr)
+            return 2
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
+        analysis = analyze_events(events)
         if args.json:
             print(json.dumps(analysis.to_dict(), indent=1))
         else:

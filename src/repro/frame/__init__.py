@@ -2,7 +2,6 @@
 
 from .frame import Frame
 from .groupby import GroupBy
-from .io import from_csv_string, read_csv, to_csv_string, write_csv
 from .ops import (
     ViolinSummary,
     cross_shares,
@@ -17,10 +16,6 @@ from .ops import (
 __all__ = [
     "Frame",
     "GroupBy",
-    "read_csv",
-    "write_csv",
-    "to_csv_string",
-    "from_csv_string",
     "ecdf",
     "ecdf_at",
     "histogram_counts",

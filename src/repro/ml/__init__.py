@@ -16,7 +16,6 @@ from .preprocess import StandardScaler, train_test_split
 from .quantile import QuantileGradientBoosting, pinball_loss
 from .tobit import TobitRegressor
 from .tree import DecisionTreeRegressor
-from .validation import cross_val_score, kfold_indices, walk_forward_score
 
 __all__ = [
     "Regressor",
@@ -31,9 +30,6 @@ __all__ = [
     "QuantileGradientBoosting",
     "pinball_loss",
     "TobitRegressor",
-    "cross_val_score",
-    "kfold_indices",
-    "walk_forward_score",
     "StandardScaler",
     "train_test_split",
     "mse",

@@ -30,7 +30,6 @@ class GradientBoostingRegressor:
         early_stopping_fraction: float = 0.0,
         early_stopping_rounds: int = 10,
         random_state: int = 0,
-        callback=None,
     ) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
@@ -46,10 +45,6 @@ class GradientBoostingRegressor:
         self.early_stopping_fraction = early_stopping_fraction
         self.early_stopping_rounds = early_stopping_rounds
         self.random_state = random_state
-        # telemetry only: called as callback(stage, train_mse[, val_mse=])
-        # after each boosting stage; the train loss is computed exclusively
-        # for the callback, so attaching one cannot change the fit
-        self.callback = callback
         self.init_: float = 0.0
         self.trees_: list[DecisionTreeRegressor] = []
 
@@ -77,7 +72,7 @@ class GradientBoostingRegressor:
         best_val = np.inf
         rounds_since_best = 0
 
-        for stage in range(self.n_estimators):
+        for _ in range(self.n_estimators):
             residual = y - pred
             rows = None
             if self.subsample < 1.0:
@@ -92,15 +87,9 @@ class GradientBoostingRegressor:
             self.trees_.append(tree)
             pred = pred + self.learning_rate * tree.predict(X)
 
-            val_mse = None
             if val_pred is not None:
                 val_pred = val_pred + self.learning_rate * tree.predict(X_val)
                 val_mse = float(np.mean((y_val - val_pred) ** 2))
-            if self.callback is not None:
-                train_mse = float(np.mean((y - pred) ** 2))
-                extra = {} if val_mse is None else {"val_mse": val_mse}
-                self.callback(stage, train_mse, **extra)
-            if val_mse is not None:
                 if val_mse < best_val - 1e-12:
                     best_val = val_mse
                     rounds_since_best = 0

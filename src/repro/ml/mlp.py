@@ -27,7 +27,6 @@ class MLPRegressor:
         learning_rate: float = 1e-3,
         l2: float = 1e-5,
         random_state: int = 0,
-        callback=None,
     ) -> None:
         if not hidden:
             raise ValueError("need at least one hidden layer")
@@ -37,10 +36,6 @@ class MLPRegressor:
         self.learning_rate = learning_rate
         self.l2 = l2
         self.random_state = random_state
-        # telemetry only: called as callback(epoch, mse) on standardized
-        # targets; the loss is assembled from values the update path already
-        # computes, so attaching one cannot change the fit (tests/test_ml.py)
-        self.callback = callback
         self._weights: list[np.ndarray] = []
         self._biases: list[np.ndarray] = []
         self._x_scaler = StandardScaler()
@@ -92,15 +87,12 @@ class MLPRegressor:
         t = 0
 
         batch = min(self.batch_size, n)
-        for epoch in range(self.epochs):
+        for _ in range(self.epochs):
             order = rng.permutation(n)
-            sq_sum = 0.0
             for s in range(0, n, batch):
                 idx = order[s : s + batch]
                 xb, yb = Xs[idx], ys[idx]
                 pred, acts = self._forward(xb)
-                if self.callback is not None:
-                    sq_sum += float(np.sum((pred - yb) ** 2))
                 # backprop of squared loss
                 delta = (2.0 / len(idx)) * (pred - yb)[:, None]
                 grads_w: list[np.ndarray] = [None] * len(self._weights)
@@ -131,8 +123,6 @@ class MLPRegressor:
                         * (mb[layer] / corr1)
                         / (np.sqrt(vb[layer] / corr2) + eps)
                     )
-            if self.callback is not None:
-                self.callback(epoch, sq_sum / n)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -34,7 +34,6 @@ class QuantileGradientBoosting:
         learning_rate: float = 0.1,
         max_depth: int = 3,
         min_samples_leaf: int = 5,
-        callback=None,
     ) -> None:
         if not 0.0 < q < 1.0:
             raise ValueError("q must be in (0, 1)")
@@ -47,9 +46,6 @@ class QuantileGradientBoosting:
         self.learning_rate = learning_rate
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
-        # telemetry only: called as callback(stage, train_pinball_loss)
-        # after each stage; computed only when attached, never fed back
-        self.callback = callback
         self.init_: float = 0.0
         self.trees_: list[DecisionTreeRegressor] = []
 
@@ -61,7 +57,7 @@ class QuantileGradientBoosting:
         self.init_ = float(np.quantile(y, self.q))
         self.trees_ = []
         pred = np.full(len(y), self.init_)
-        for stage in range(self.n_estimators):
+        for _ in range(self.n_estimators):
             # negative subgradient of pinball loss w.r.t. prediction
             residual_sign = np.where(y > pred, self.q, self.q - 1.0)
             tree = DecisionTreeRegressor(
@@ -71,8 +67,6 @@ class QuantileGradientBoosting:
             tree._fit_presorted(X, residual_sign, order)
             self.trees_.append(tree)
             pred = pred + self.learning_rate * tree.predict(X)
-            if self.callback is not None:
-                self.callback(stage, pinball_loss(y, pred, self.q))
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:

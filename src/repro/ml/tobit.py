@@ -39,12 +39,8 @@ _LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
 class TobitRegressor:
     """Linear model with right-censored observations, fitted by MLE."""
 
-    def __init__(self, max_iter: int = 200, callback=None) -> None:
+    def __init__(self, max_iter: int = 200) -> None:
         self.max_iter = max_iter
-        # telemetry only: called as callback(iteration, neg_log_likelihood)
-        # once per L-BFGS iteration via scipy's callback, which observes the
-        # iterates without perturbing the optimization path
-        self.callback = callback
         self.coef_: np.ndarray | None = None
         self.intercept_: float = 0.0
         self.sigma_: float = 1.0
@@ -96,19 +92,11 @@ class TobitRegressor:
                 ll += float(np.sum(log_ndtr(z)))
             return -ll
 
-        trace = None
-        if self.callback is not None:
-            counter = iter(range(self.max_iter + 1))
-
-            def trace(xk: np.ndarray) -> None:
-                self.callback(next(counter), neg_ll(xk))
-
         result = minimize(
             neg_ll,
             w0,
             method="L-BFGS-B",
             options={"maxiter": self.max_iter},
-            callback=trace,
         )
         params = result.x
         self.coef_ = params[:-2]

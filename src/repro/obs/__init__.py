@@ -27,9 +27,7 @@ The layers *above* the engines get the same treatment:
 :mod:`repro.obs.runs` logs per-task sweep telemetry (``RunRegistry``),
 aggregates it (``SweepReport``), streams live progress
 (``ProgressReporter`` backends) and computes perf trajectories plus the
-noise-aware :func:`~repro.obs.runs.perf_gate` regression verdicts;
-:mod:`repro.obs.training` records per-iteration model-fit loss curves
-(``TrainingLog``) via the ``callback=`` hooks on :mod:`repro.ml` models.
+noise-aware :func:`~repro.obs.runs.perf_gate` regression verdicts.
 
 Cross-process performance tracing lives in :mod:`repro.obs.perf`
 (``PerfConfig`` / ``SamplingProfiler`` / ``SweepTrace`` — sweep workers
@@ -85,13 +83,11 @@ from .runs import (
 )
 from .timeline import (
     check_events,
-    read_jsonl,
     render_timeline,
     run_start_capacity,
     summarize_events,
     utilization_series,
 )
-from .training import TrainingLog
 
 __all__ = [
     "events",
@@ -124,7 +120,6 @@ __all__ = [
     "collapse_stacks",
     "format_collapsed",
     "check_events",
-    "read_jsonl",
     "render_timeline",
     "run_start_capacity",
     "summarize_events",
@@ -140,5 +135,4 @@ __all__ = [
     "read_records",
     "trajectory",
     "perf_gate",
-    "TrainingLog",
 ]

@@ -31,7 +31,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import events as ev
-from .timeline import read_jsonl, run_start_capacity
+from .runs import read_records
+from .timeline import run_start_capacity
 
 __all__ = ["TraceAnalysis", "analyze_events", "load_events"]
 
@@ -44,7 +45,7 @@ def load_events(path: str | Path) -> list[dict]:
         from .columnar import ColumnarRecorder
 
         return ColumnarRecorder.load(path).to_events()
-    return list(read_jsonl(path))
+    return read_records(path)
 
 
 def _stats(values: Sequence[float]) -> dict:

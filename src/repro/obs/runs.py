@@ -111,7 +111,7 @@ class RunRecord:
 
 
 def read_records(path: str | Path) -> list[dict]:
-    """Parse a JSONL telemetry file (run registry, journal, bench history).
+    """Parse a JSONL file (event stream, run registry, journal, bench history).
 
     Blank lines are skipped; a malformed line raises :class:`ValueError`
     naming its line number, because a silently dropped record would make

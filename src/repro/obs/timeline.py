@@ -13,37 +13,24 @@ file — and turns them into the artifacts the observability layer promises:
 * :func:`render_timeline` — a binned text schedule timeline (utilization
   bar plus per-bin event counts), the ``ext_observability`` experiment's
   main artifact;
-* :func:`summarize_events` / :func:`read_jsonl` — small conveniences.
+* :func:`summarize_events` — event counts per kind.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..viz import bar, render_table, seconds
 from . import events as ev
 
 __all__ = [
-    "read_jsonl",
     "summarize_events",
     "check_events",
     "utilization_series",
     "render_timeline",
 ]
-
-
-def read_jsonl(path: str | Path) -> list[dict]:
-    """Parse a JSONL event file back into a list of event dicts."""
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
 
 
 def summarize_events(events: Iterable[dict]) -> dict[str, int]:
@@ -190,10 +177,6 @@ def render_timeline(
     function, so long idle stretches read as idle no matter how few events
     they contain.
     """
-    # imported here: repro.viz renders SimResult gantts, so a module-level
-    # import would close an import cycle through repro.sched.engine
-    from ..viz import bar, render_table, seconds
-
     capacity = run_start_capacity(events, capacity)
     times, used = utilization_series(events, capacity)
     if len(times) == 0:

@@ -13,7 +13,6 @@ from .adaptive import AdaptiveComparison, improvement_pct, run_use_case2
 from .backfill import EASY, NO_BACKFILL, BackfillConfig, adaptive_relaxed, relaxed
 from .conservative import simulate_conservative
 from .engine import SimResult, simulate
-from .export import result_to_trace
 from .fast import simulate_fast
 from .faults import NO_FAULTS, FaultConfig, FaultSimResult, simulate_with_faults
 from .job import SimWorkload, workload_from_trace
@@ -57,7 +56,6 @@ __all__ = [
     "PackedSimResult",
     "simulate_packed",
     "SimResult",
-    "result_to_trace",
     "SimWorkload",
     "workload_from_trace",
     "Policy",

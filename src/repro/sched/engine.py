@@ -89,9 +89,9 @@ class SimResult:
     def to_dict(self) -> dict:
         """Canonical run-summary dict (the one serialization of a run).
 
-        Shared by :mod:`repro.sched.export`, the CLI's ``--metrics-out``
-        payload and the experiment harness, so every surface describes a
-        run with the same keys.
+        Shared by the CLI's ``--metrics-out`` payload, the sweep runner's
+        task records and the experiment harness, so every surface
+        describes a run with the same keys.
         """
         w = self.workload
         wait = self.wait

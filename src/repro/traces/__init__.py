@@ -15,15 +15,6 @@ from .categorize import (
 from .schema import CANONICAL_COLUMNS, JobStatus, Trace
 from .mixing import mix_traces
 from .swf import read_swf, write_swf
-from .transform import (
-    anonymize_trace,
-    filter_users,
-    rebase_time,
-    split_by_user,
-    thin_trace,
-    top_users_trace,
-    window_trace,
-)
 from .systems import (
     ALL_SYSTEMS,
     BLUE_WATERS,
@@ -57,13 +48,6 @@ __all__ = [
     "read_swf",
     "write_swf",
     "mix_traces",
-    "window_trace",
-    "thin_trace",
-    "filter_users",
-    "top_users_trace",
-    "anonymize_trace",
-    "rebase_time",
-    "split_by_user",
     "validate_trace",
     "ValidationReport",
     "ValidationIssue",

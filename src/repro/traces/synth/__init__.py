@@ -21,15 +21,12 @@ from .diurnal import (
 )
 from .fit import LogNormalMixtureFit, fit_calibration, fit_lognormal_mixture
 from .generator import cached_traces, generate_all_traces, generate_trace
-from .lublin import LublinParameters, generate_lublin_trace
 from .users import ArrivalBatch, UserPopulation, generate_arrivals, zipf_weights
 
 __all__ = [
     "generate_trace",
     "generate_all_traces",
     "cached_traces",
-    "generate_lublin_trace",
-    "LublinParameters",
     "fit_calibration",
     "fit_lognormal_mixture",
     "LogNormalMixtureFit",

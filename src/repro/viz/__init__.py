@@ -1,6 +1,5 @@
-"""Text rendering of figures, tables, and schedules."""
+"""Text rendering of figures and tables."""
 
-from .gantt import render_gantt, render_occupancy
 from .text import bar, percent, render_table, seconds, series_row
 
 __all__ = [
@@ -9,6 +8,4 @@ __all__ = [
     "percent",
     "seconds",
     "series_row",
-    "render_gantt",
-    "render_occupancy",
 ]

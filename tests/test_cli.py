@@ -173,6 +173,43 @@ class TestCliObservability:
         ) == 2
         assert "it is a directory" in capsys.readouterr().err
 
+    @pytest.fixture
+    def event_lines(self, swf_path, tmp_path, capsys):
+        out = tmp_path / "events.jsonl"
+        assert main(
+            ["simulate", str(swf_path), "--max-jobs", "50", "--trace-out", str(out)]
+        ) == 0
+        capsys.readouterr()
+        return out.read_text().splitlines(keepends=True)
+
+    def test_analyze_torn_tail_uses_intact_events(
+        self, event_lines, tmp_path, capsys
+    ):
+        # a tracer killed mid-write leaves a partial last line, no newline
+        intact = tmp_path / "intact.jsonl"
+        intact.write_text("".join(event_lines[:-1]))
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text("".join(event_lines[:-1]) + event_lines[-1][:10])
+        assert main(["analyze", str(intact), "--json"]) == 0
+        expected = capsys.readouterr().out
+        with pytest.warns(RuntimeWarning, match="truncated final line"):
+            assert main(["analyze", str(torn), "--json"]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_analyze_malformed_line_exits_2(self, event_lines, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        event_lines.insert(2, "{not json\n")
+        bad.write_text("".join(event_lines))
+        assert main(["analyze", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert f"{bad}: line 3 is not valid JSON" in captured.err
+        assert captured.out == ""
+
+    def test_analyze_missing_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.jsonl"
+        assert main(["analyze", str(missing)]) == 2
+        assert f"cannot read {missing}" in capsys.readouterr().err
+
 
 class TestCliPolicySweep:
     def test_multi_policy_table(self, swf_path, capsys):

@@ -1,4 +1,4 @@
-"""Tests for workload similarity, the advisor, and result-to-trace export."""
+"""Tests for workload similarity and the advisor."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,9 @@ from repro.core import (
     advise,
     nearest_system,
     signature_distance,
-    wait_summary,
     workload_signature,
 )
-from repro.sched import result_to_trace, simulate, workload_from_trace
-from repro.traces import JobStatus, THETA
+from repro.traces import THETA
 from repro.traces.synth import generate_trace
 
 
@@ -98,31 +96,3 @@ class TestAdvisor:
         warnings = [r for r in advise(tr) if r.severity == "warning"]
         assert not warnings
 
-
-class TestResultToTrace:
-    def test_roundtrip_waits(self):
-        tr = generate_trace("theta", days=2, seed=1)
-        workload = workload_from_trace(tr)
-        res = simulate(workload, tr.system.schedulable_units)
-        sim_trace = result_to_trace(res, tr.system)
-        assert sim_trace.num_jobs == workload.n
-        assert np.allclose(
-            sim_trace["wait_time"], res.start - workload.submit
-        )
-        # the exported trace flows through analyses
-        assert wait_summary(sim_trace).mean_wait >= 0.0
-
-    def test_statuses_carried(self):
-        tr = generate_trace("theta", days=1, seed=1)
-        workload = workload_from_trace(tr)
-        res = simulate(workload, tr.system.schedulable_units)
-        statuses = np.full(workload.n, int(JobStatus.KILLED))
-        out = result_to_trace(res, tr.system, statuses=statuses)
-        assert np.all(out["status"] == int(JobStatus.KILLED))
-
-    def test_status_length_checked(self):
-        tr = generate_trace("theta", days=1, seed=1)
-        workload = workload_from_trace(tr)
-        res = simulate(workload, tr.system.schedulable_units)
-        with pytest.raises(ValueError):
-            result_to_trace(res, tr.system, statuses=np.zeros(3))

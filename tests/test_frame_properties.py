@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.frame import Frame, from_csv_string, to_csv_string
+from repro.frame import Frame
 
 small_ints = st.integers(0, 8)
 floats = st.floats(-1e6, 1e6, allow_nan=False)
@@ -76,16 +76,6 @@ class TestJoinOracle:
         # every row matches (lookup covers all keys) and w is consistent
         assert joined.num_rows == f.num_rows
         assert np.allclose(joined["w"], joined["k"] * 10.0)
-
-
-class TestCsvRoundtripProperty:
-    @given(frames())
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip(self, f):
-        back = from_csv_string(to_csv_string(f))
-        assert back.num_rows == f.num_rows
-        assert np.array_equal(back["k"], f["k"])
-        assert np.allclose(back["v"], f["v"])
 
 
 class TestDescribeProperty:

@@ -261,117 +261,6 @@ class TestTobit:
             assert np.array_equal(tob.predict_quantile(X, q), expected), q
 
 
-class TestTrainingTelemetry:
-    """callback=/TrainingLog hooks observe fits without changing them."""
-
-    @staticmethod
-    def _censored_problem(n=400, seed=5):
-        rng = RNG(seed)
-        X = rng.normal(size=(n, 2))
-        y_true = 2.0 * X[:, 0] - X[:, 1] + 5.0 + 0.5 * rng.normal(size=n)
-        cap = 5.5
-        return X, np.minimum(y_true, cap), y_true > cap
-
-    def _check(self, make, fit):
-        """Fit with and without a TrainingLog; history must be non-empty and
-        monotone-indexed, predictions bit-identical."""
-        from repro.obs import TrainingLog
-
-        log = TrainingLog()
-        with_log = fit(make(log))
-        without = fit(make(None))
-        assert len(log) > 0
-        assert log.indices == sorted(set(log.indices))
-        assert all(np.isfinite(v) for v in log.losses)
-        X_probe = RNG(1).normal(size=(50, with_log_dim(with_log)))
-        assert np.array_equal(with_log.predict(X_probe), without.predict(X_probe))
-        return log
-
-    def test_mlp_per_epoch_loss(self):
-        X, y, _ = linear_data(n=300)
-        log = self._check(
-            lambda cb: MLPRegressor(epochs=12, random_state=2, callback=cb),
-            lambda m: m.fit(X, y),
-        )
-        assert log.indices == list(range(12))
-        # on an easy linear problem the loss curve must trend downward
-        assert log.losses[-1] < log.losses[0]
-
-    def test_gbm_per_stage_loss(self):
-        X, y, _ = linear_data(n=300)
-        log = self._check(
-            lambda cb: GradientBoostingRegressor(n_estimators=15, callback=cb),
-            lambda m: m.fit(X, y),
-        )
-        assert log.indices == list(range(15))
-        assert log.losses[-1] < log.losses[0]
-        assert "val_mse" not in log.records[0]
-
-    def test_gbm_early_stopping_reports_val_mse(self):
-        from repro.obs import TrainingLog
-
-        X, y, _ = linear_data(n=300, noise=2.0)
-        log = TrainingLog()
-        m = GradientBoostingRegressor(
-            n_estimators=200,
-            early_stopping_fraction=0.25,
-            early_stopping_rounds=5,
-            callback=log,
-        ).fit(X, y)
-        assert len(log) == m.n_stages
-        assert all("val_mse" in r for r in log.records)
-
-    def test_quantile_gbm_per_stage_pinball(self):
-        from repro.ml.quantile import QuantileGradientBoosting
-
-        X, y, _ = linear_data(n=300)
-        log = self._check(
-            lambda cb: QuantileGradientBoosting(n_estimators=10, callback=cb),
-            lambda m: m.fit(X, y),
-        )
-        assert log.indices == list(range(10))
-        assert log.losses[-1] < log.losses[0]
-
-    def test_tobit_lbfgs_iteration_trace(self):
-        X, y, censored = self._censored_problem()
-        log = self._check(
-            lambda cb: TobitRegressor(callback=cb),
-            lambda m: m.fit(X, y, censored=censored),
-        )
-        # the trace is the optimizer's own path: negative log-likelihood
-        # at each L-BFGS iterate, improving over the warm start
-        assert log.losses[-1] <= log.losses[0]
-
-    def test_tobit_coefficients_unchanged_by_callback(self):
-        from repro.obs import TrainingLog
-
-        X, y, censored = self._censored_problem()
-        a = TobitRegressor(callback=TrainingLog()).fit(X, y, censored=censored)
-        b = TobitRegressor().fit(X, y, censored=censored)
-        assert np.array_equal(a.coef_, b.coef_)
-        assert a.intercept_ == b.intercept_
-        assert a.sigma_ == b.sigma_
-
-    def test_training_log_to_dict(self):
-        from repro.obs import TrainingLog
-
-        log = TrainingLog()
-        log(0, 1.5, val_mse=2.0)
-        assert log.to_dict() == {
-            "n": 1,
-            "records": [{"index": 0, "loss": 1.5, "val_mse": 2.0}],
-        }
-
-
-def with_log_dim(model) -> int:
-    """Feature count a fitted model expects (for building probe inputs)."""
-    if isinstance(model, MLPRegressor):
-        return len(model._x_scaler.mean_)
-    if isinstance(model, TobitRegressor):
-        return len(model.coef_)
-    return 3  # tree ensembles fitted on linear_data's d=3
-
-
 class TestMLPValidation:
     def test_epochs_zero_raises(self):
         X, y, _ = linear_data(n=50)

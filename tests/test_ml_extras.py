@@ -1,16 +1,12 @@
-"""Tests for the extra ML modules: kNN, quantile boosting, validation."""
+"""Tests for the extra ML modules: kNN and quantile boosting."""
 
 import numpy as np
 import pytest
 
 from repro.ml import (
     KNeighborsRegressor,
-    LinearRegression,
     QuantileGradientBoosting,
-    cross_val_score,
-    kfold_indices,
     pinball_loss,
-    walk_forward_score,
 )
 
 RNG = lambda s=0: np.random.default_rng(s)
@@ -105,40 +101,3 @@ class TestQuantileBoosting:
         with pytest.raises(RuntimeError):
             QuantileGradientBoosting().predict(np.zeros((1, 1)))
 
-
-class TestValidation:
-    def test_kfold_partition(self):
-        folds = kfold_indices(20, k=4, rng=RNG())
-        assert len(folds) == 4
-        all_test = np.sort(np.concatenate([t for _, t in folds]))
-        assert np.array_equal(all_test, np.arange(20))
-        for train, test in folds:
-            assert len(np.intersect1d(train, test)) == 0
-
-    def test_kfold_validation(self):
-        with pytest.raises(ValueError):
-            kfold_indices(5, k=1)
-        with pytest.raises(ValueError):
-            kfold_indices(3, k=10)
-
-    def test_cross_val_scores_reasonable(self):
-        rng = RNG(6)
-        X = rng.normal(size=(200, 2))
-        y = X @ np.array([1.0, -1.0]) + 0.1 * rng.normal(size=200)
-        scores = cross_val_score(LinearRegression, X, y, k=4, rng=RNG(0))
-        assert len(scores) == 4
-        assert np.all(scores < 0.05)
-
-    def test_walk_forward_chronological(self):
-        # target drifts over time: early-trained folds must err more on
-        # later data than a model would in-sample
-        n = 400
-        X = np.arange(n, dtype=float)[:, None]
-        y = 0.01 * np.arange(n) ** 1.2
-        scores = walk_forward_score(LinearRegression, X, y, n_folds=3)
-        assert len(scores) == 3
-        assert np.all(scores >= 0)
-
-    def test_walk_forward_too_small(self):
-        with pytest.raises(ValueError):
-            walk_forward_score(LinearRegression, np.zeros((5, 1)), np.zeros(5), n_folds=10)

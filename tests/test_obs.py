@@ -35,7 +35,7 @@ from repro.obs import (
     RingBufferTracer,
     check_events,
     make_event,
-    read_jsonl,
+    read_records,
     render_timeline,
     summarize_events,
     utilization_series,
@@ -144,7 +144,7 @@ class TestTracers:
             t.emit(ev.RUN_START, 0.0, capacity=CAPACITY)
             t.emit(ev.SUBMIT, 1.0, 0, cores=2)
             assert t.count == 2
-        records = read_jsonl(path)
+        records = read_records(path)
         assert [r["kind"] for r in records] == ["run_start", "submit"]
         assert records[1] == {"kind": "submit", "t": 1.0, "job": 0, "cores": 2}
 
@@ -153,7 +153,7 @@ class TestTracers:
         t.emit(ev.FINISH, 5.0, 2, cores=1, free=CAPACITY)
         path = tmp_path / "dump.jsonl"
         t.to_jsonl(path)
-        assert read_jsonl(path) == t.events
+        assert read_records(path) == t.events
 
     def test_close_flushes_non_owned_stream(self, tmp_path):
         """Regression: caller-supplied handles must be flushed on close.
@@ -168,7 +168,7 @@ class TestTracers:
             t.emit(ev.SUBMIT, 1.0, 0, cores=2)
             t.close()
             # flushed to disk while the caller's handle is still open...
-            assert [r["kind"] for r in read_jsonl(path)] == ["submit"]
+            assert [r["kind"] for r in read_records(path)] == ["submit"]
             # ...and the caller's handle was NOT closed
             assert not fh.closed
         assert fh.closed
@@ -660,7 +660,7 @@ class TestAcceptance:
                 wl, CAPACITY, "fcfs", adaptive_relaxed(0.1),
                 faults=cfg, tracer=tracer,
             )
-        events = read_jsonl(path)
+        events = read_records(path)
         counts = summarize_events(events)
         for kind in (ev.RUN_START, ev.SUBMIT, ev.START, ev.FINISH,
                      ev.BACKFILL, ev.NODE_FAIL, ev.RUN_END):

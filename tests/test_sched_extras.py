@@ -1,4 +1,4 @@
-"""Tests for fairshare scheduling, node packing, and schedule rendering."""
+"""Tests for fairshare scheduling and node packing."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from repro.sched import (
     simulate,
     simulate_packed,
 )
-from repro.viz import render_gantt, render_occupancy
 
 
 def wl(submit, cores, runtime, user=None):
@@ -143,31 +142,3 @@ class TestPackedSimulation:
         with pytest.raises(ValueError):
             simulate_packed(wl([0], [17], [10]), n_nodes=2, gpus_per_node=8)
 
-
-class TestGantt:
-    @pytest.fixture(scope="class")
-    def result(self):
-        workload = wl([0, 5, 10], [4, 4, 2], [50, 30, 20])
-        return simulate(workload, 6)
-
-    def test_gantt_rows(self, result):
-        text = render_gantt(result, width=40)
-        lines = text.splitlines()
-        assert len(lines) == 4  # header + 3 jobs
-        assert "#" in lines[1]
-
-    def test_gantt_queue_marks(self, result):
-        text = render_gantt(result, width=40)
-        assert "." in text  # job 1 queues behind job 0
-
-    def test_gantt_truncation(self):
-        workload = wl(np.arange(50.0), np.ones(50), np.ones(50) * 5)
-        res = simulate(workload, 100)
-        text = render_gantt(res, max_jobs=10)
-        assert "more jobs" in text
-
-    def test_occupancy_shape(self, result):
-        text = render_occupancy(result, width=40, height=5)
-        lines = text.splitlines()
-        assert len(lines) == 7  # title + 5 rows + axis
-        assert "#" in text
