@@ -104,10 +104,18 @@ def test_bench_policy_sweep(benchmark, theta_workload):
     assert metrics["sjf"].bsld <= metrics["ljf"].bsld
 
 
-def test_bench_generator_throughput(benchmark):
-    """Raw trace-generation speed for the largest system (Helios)."""
+def test_bench_generator_throughput(benchmark, record_property):
+    """Raw trace-generation speed for the largest system (Helios).
+
+    The test's duration mostly follows pytest-benchmark's round budget, so
+    the ledger row also records the median and minimum of one generation.
+    """
     trace = benchmark(generate_trace, "helios", days=2.0, seed=9)
     assert trace.num_jobs > 5000
+    stats = benchmark.stats.stats
+    record_property("median_s", round(stats.median, 5))
+    record_property("min_s", round(stats.min, 5))
+    record_property("rounds", stats.rounds)
 
 
 def test_bench_queue_length_kernel(benchmark):

@@ -24,7 +24,45 @@ __all__ = [
     "ClippedDist",
     "SizeConditionalRuntime",
     "lognormal_from_median",
+    "choice_cdf",
+    "sample_cdf",
 ]
+
+#: how far probabilities may sum from 1, as ``Generator.choice`` allows
+_P_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF that ``rng.choice(k, size, p=p)`` searches, built once.
+
+    ``Generator.choice`` with ``p`` validates ``p``, then draws
+    ``cdf.searchsorted(rng.random(size), side="right")`` with
+    ``cdf = p.cumsum(); cdf /= cdf[-1]``.  This returns that ``cdf`` after
+    the same checks (finite, non-negative, summing to 1 within
+    ``sqrt(eps)``), so that :func:`sample_cdf` draws exactly what
+    ``choice`` would, from the same random stream, without rebuilding and
+    revalidating ``p`` on every call.  A 2-D ``p`` holds one distribution
+    per row and gets one CDF per row, bit for bit as row by row.
+    """
+    p = np.asarray(p, dtype=float)
+    if p.ndim not in (1, 2):
+        raise ValueError("p must be 1- or 2-dimensional")
+    rows = np.atleast_2d(p)
+    total = rows.sum(axis=1)
+    if np.isnan(total).any():
+        raise ValueError("probabilities contain NaN")
+    if (rows < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    if (np.abs(total - 1.0) > _P_ATOL).any():
+        raise ValueError("probabilities do not sum to 1")
+    cdf = rows.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return cdf.reshape(p.shape)
+
+
+def sample_cdf(rng: np.random.Generator, cdf: np.ndarray, size: int) -> np.ndarray:
+    """Draw ``size`` indices from a :func:`choice_cdf` CDF, as ``choice`` does."""
+    return cdf.searchsorted(rng.random(size), side="right")
 
 
 class Distribution(Protocol):

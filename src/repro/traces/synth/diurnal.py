@@ -11,8 +11,11 @@ thin/retime session starts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .distributions import choice_cdf, sample_cdf
 
 __all__ = ["DiurnalProfile", "flat_profile", "peaked_profile", "dipped_profile", "afternoon_profile"]
 
@@ -45,9 +48,14 @@ class DiurnalProfile:
         lo = w.min()
         return float("inf") if lo == 0 else float(w.max() / lo)
 
+    @cached_property
+    def hour_cdf(self) -> np.ndarray:
+        """CDF over the 24 hours, built once (see :func:`.distributions.choice_cdf`)."""
+        return choice_cdf(self.normalized)
+
     def sample_times_of_day(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw seconds-within-day values following the profile."""
-        hours = rng.choice(24, size=size, p=self.normalized)
+        hours = sample_cdf(rng, self.hour_cdf, size)
         return hours * SECONDS_PER_HOUR + rng.uniform(0, SECONDS_PER_HOUR, size=size)
 
     def sample_times(

@@ -17,11 +17,11 @@ intervals the paper reports (Fig 1b) even at modest mean rates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import Distribution, choice_cdf, sample_cdf
 from .diurnal import SECONDS_PER_DAY, DiurnalProfile
 
 __all__ = ["UserPopulation", "ArrivalBatch", "generate_arrivals", "zipf_weights"]
@@ -41,7 +41,9 @@ class UserPopulation:
 
     ``config_cores``/``config_runtime`` are flat arrays over all
     (user, config) pairs; ``user_offsets[u]:user_offsets[u+1]`` slices user
-    ``u``'s configs in rank order (rank 0 = most used).
+    ``u``'s configs in rank order (rank 0 = most used).  ``config_cdf``,
+    built once with the population, holds each user's submission CDF over
+    the same slice (see :func:`.distributions.choice_cdf`).
 
     Submission frequency per config is Zipf over ranks, optionally *damped
     by cost*: configs demanding many core-seconds are submitted less often
@@ -61,6 +63,10 @@ class UserPopulation:
     cost_damping: float = 0.0
     #: core-seconds below which cost damping does not kick in
     cost_ref: float = 1.0
+    config_cdf: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.config_cdf = self._config_cdf()
 
     @classmethod
     def build(
@@ -114,33 +120,29 @@ class UserPopulation:
             cost_ref=cost_ref,
         )
 
-    def user_config_count(self, user: int) -> int:
-        """Number of configs in user ``user``'s pool."""
-        return int(self.user_offsets[user + 1] - self.user_offsets[user])
+    def _config_cdf(self) -> np.ndarray:
+        """Every user's submission CDF, flat over ``(user, config)`` pairs.
 
-    def config_weights(self, user: int) -> np.ndarray:
-        """Normalized submission weights over ``user``'s configs."""
-        lo = int(self.user_offsets[user])
-        k = self.user_config_count(user)
-        w = zipf_weights(k, self.zipf_s)
+        A user's weights are Zipf over config ranks, times the cost damping
+        when it is on, renormalized.  Users with the same number of configs
+        share the Zipf row, so each distinct count is one matrix of users by
+        ranks; the row sums and cumulative sums equal the one-user ones bit
+        for bit.
+        """
+        counts = np.diff(self.user_offsets)
+        cdf = np.empty(len(self.config_cores))
         if self.cost_damping > 0.0:
-            cost = (
-                self.config_cores[lo : lo + k]
-                * self.config_runtime[lo : lo + k]
-            )
+            cost = self.config_cores * self.config_runtime
             damp = (self.cost_ref / np.maximum(cost, self.cost_ref)) ** self.cost_damping
-            w = w * damp
-            w = w / w.sum()
-        return w
-
-    def choose_configs(
-        self, rng: np.random.Generator, user: int, size: int
-    ) -> np.ndarray:
-        """Sample ``size`` global config indices for ``user``."""
-        lo = int(self.user_offsets[user])
-        k = self.user_config_count(user)
-        ranks = rng.choice(k, size=size, p=self.config_weights(user))
-        return lo + ranks
+        for k in np.unique(counts).tolist():
+            users = np.flatnonzero(counts == k)
+            idx = self.user_offsets[users][:, None] + np.arange(k)
+            w = np.broadcast_to(zipf_weights(k, self.zipf_s), idx.shape)
+            if self.cost_damping > 0.0:
+                w = w * damp[idx]
+                w = w / w.sum(axis=1, keepdims=True)
+            cdf[idx] = choice_cdf(w)
+        return cdf
 
 
 @dataclass
@@ -184,6 +186,9 @@ def generate_arrivals(
     """
     horizon = days * SECONDS_PER_DAY
     total_jobs = jobs_per_day * days
+    offsets = population.user_offsets.tolist()
+    # geometric session sizes with the requested mean (support >= 1)
+    p = 1.0 / max(session_mean_jobs, 1.0)
     submits, users, configs = [], [], []
     for u in range(population.n_users):
         expect_jobs = total_jobs * population.activity[u]
@@ -194,8 +199,6 @@ def generate_arrivals(
         n_sessions = len(starts)
         if n_sessions == 0:
             continue
-        # geometric session sizes with the requested mean (support >= 1)
-        p = 1.0 / max(session_mean_jobs, 1.0)
         sizes = rng.geometric(p, size=n_sessions)
         total = int(sizes.sum())
         gaps = np.maximum(gap_dist.sample(rng, total), 0.1)
@@ -208,12 +211,14 @@ def generate_arrivals(
         within = cum - cum[session_base][session_of_job]
         t = starts[session_of_job] + within
         # session config with stickiness: each job re-draws with prob 1-sticky
-        session_cfg = population.choose_configs(rng, u, n_sessions)
+        lo = offsets[u]
+        cdf = population.config_cdf[lo : offsets[u + 1]]
+        session_cfg = lo + sample_cdf(rng, cdf, n_sessions)
         job_cfg = session_cfg[session_of_job]
         rebels = rng.random(total) < (1.0 - config_stickiness)
         n_reb = int(rebels.sum())
         if n_reb:
-            job_cfg[rebels] = population.choose_configs(rng, u, n_reb)
+            job_cfg[rebels] = lo + sample_cdf(rng, cdf, n_reb)
         keep = t < horizon
         submits.append(t[keep])
         users.append(np.full(int(keep.sum()), u, dtype=np.int64))
