@@ -7,8 +7,10 @@ is pre-warmed here so benches measure analysis cost, not generation; the
 benches of memoized analyses clear the memo before each round.
 
 Opt-in perf trajectory: set ``BENCH_OUT`` to append one JSONL record per
-passing bench (nodeid, wall seconds, scale, ``code_version()``) — point it
-at a file, or at a directory to get ``<dir>/BENCH_history.jsonl``.  The
+passing bench (nodeid, wall seconds, scale, ``code_version()``, and for
+benches on the ``benchmark`` fixture the median and minimum seconds of one
+call and the number of rounds) — point it at a file, or at a directory to
+get ``<dir>/BENCH_history.jsonl``.  The
 history accumulates across runs; ``python -m repro.cli report`` renders it
 and flags benches >= 1.3x their previous recorded run.
 """
@@ -48,6 +50,23 @@ def _bench_history_path() -> Path | None:
     if path.is_dir() or (not path.suffix and not path.exists()):
         path = path / "BENCH_history.jsonl"
     return path
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    """Put the per-call statistics of a ``benchmark``-fixture bench on its
+    report: the test's duration follows pytest-benchmark's calibration and
+    round budget, not the time of one call."""
+    if call.when == "call":
+        fixture = getattr(item, "funcargs", {}).get("benchmark")
+        stats = getattr(getattr(fixture, "stats", None), "stats", None)
+        if stats is not None and stats.rounds:
+            item.user_properties += [
+                ("median_s", round(stats.median, 5)),
+                ("min_s", round(stats.min, 5)),
+                ("rounds", stats.rounds),
+            ]
+    yield
 
 
 def pytest_runtest_logreport(report):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..frame import ViolinSummary, ecdf_at, violin_summary
+from ..frame import ViolinSummary, ecdf_at, violin_from_sorted
 from ..traces.schema import Trace, per_trace
 
 __all__ = [
@@ -20,6 +20,7 @@ __all__ = [
     "arrival_summary",
     "allocation_summary",
     "analyze_geometry",
+    "hourly_counts",
     "RUNTIME_PROBE_SECONDS",
     "INTERVAL_PROBE_SECONDS",
 ]
@@ -92,14 +93,40 @@ class GeometrySummary:
 @per_trace
 def runtime_summary(trace: Trace) -> RuntimeSummary:
     """Runtime CDF + violin statistics (Fig 1a)."""
-    rt = trace["runtime"]
+    rt = np.asarray(trace["runtime"], dtype=float)
+    # one sort feeds every order statistic; the mean reads ``rt``
+    ordered = np.sort(rt)
     return RuntimeSummary(
         system=trace.system.name,
-        median=float(np.median(rt)),
+        median=float(np.median(ordered)),
         cdf_probes=RUNTIME_PROBE_SECONDS,
-        cdf_values=ecdf_at(rt, RUNTIME_PROBE_SECONDS),
-        violin=violin_summary(rt),
+        cdf_values=ecdf_at(ordered, RUNTIME_PROBE_SECONDS),
+        violin=violin_from_sorted(rt, ordered),
     )
+
+
+def hourly_counts(local: np.ndarray) -> np.ndarray:
+    """Jobs per hour of day (float, length 24) of sorted local times.
+
+    ``np.searchsorted`` finds the exact hour boundaries ``3600 * k`` in
+    ``local`` (which must be non-decreasing), and hour ``k`` adds to hour
+    of day ``k % 24``: the floor of ``local / 3600`` without a division
+    per job.  The boundary array spans ``local``, one float per hour.
+    Non-finite times have no hour and count nowhere.
+    """
+    lo = np.searchsorted(local, -np.inf, side="right")
+    hi = np.searchsorted(local, np.inf, side="left")
+    local = local[lo:hi]
+    if len(local) == 0:
+        return np.zeros(24)
+    # the rounded division may land one hour late, never early: start one
+    # hour before it; the last hour's count runs to the end
+    first = int(np.floor(local[0] / 3600.0)) - 1
+    last = int(np.floor(local[-1] / 3600.0))
+    hours = np.arange(first, last + 1)
+    starts = np.searchsorted(local, 3600.0 * hours, side="left")
+    per_hour = np.diff(starts, append=len(local))
+    return np.bincount(hours % 24, weights=per_hour, minlength=24)
 
 
 @per_trace
@@ -109,25 +136,28 @@ def arrival_summary(trace: Trace) -> ArrivalSummary:
     Hour-of-day uses the facility's local time (``tz_offset_hours``), as
     the paper does.
     """
-    intervals = trace.arrival_intervals()
-    submit = trace["submit_time"]
+    submit = trace.submit_times_sorted()
+    intervals = np.diff(submit)
+    ordered = np.sort(intervals)
+    # adding a constant keeps the times sorted
     local = submit + trace.system.tz_offset_hours * 3600.0
-    hours = ((local % 86400.0) // 3600.0).astype(int) % 24
-    counts = np.bincount(hours, minlength=24).astype(float)
     n_days = max(trace.span_seconds / 86400.0, 1e-9)
     return ArrivalSummary(
         system=trace.system.name,
-        median_interval=float(np.median(intervals)) if len(intervals) else 0.0,
+        median_interval=float(np.median(ordered)) if len(ordered) else 0.0,
         cdf_probes=INTERVAL_PROBE_SECONDS,
-        cdf_values=ecdf_at(intervals, INTERVAL_PROBE_SECONDS),
-        hourly_counts=counts / n_days,
+        cdf_values=ecdf_at(ordered, INTERVAL_PROBE_SECONDS),
+        hourly_counts=hourly_counts(local) / n_days,
     )
 
 
 @per_trace
 def allocation_summary(trace: Trace) -> AllocationSummary:
     """Requested-cores CDF, absolute and percentage (Fig 1c)."""
-    cores = trace["cores"].astype(float)
+    cores = trace["cores"]
+    # sorting the integer column is faster; converting keeps the order, and
+    # so does scaling to percent
+    ordered = np.sort(cores).astype(float)
     capacity = trace.system.schedulable_units
     probes = np.array(
         [1, 2, 4, 8, 16, 32, 64, 128, 512, 1024, 4096, 16384, 65536, 262144],
@@ -136,16 +166,15 @@ def allocation_summary(trace: Trace) -> AllocationSummary:
     pct_probes = np.array(
         [0.01, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 50.0, 100.0]
     )
-    pct = cores / capacity * 100.0
     return AllocationSummary(
         system=trace.system.name,
-        median_cores=float(np.median(cores)),
+        median_cores=float(np.median(ordered)),
         single_unit_fraction=float(np.mean(cores == 1)),
         over_1000_fraction=float(np.mean(cores > 1000)),
         cdf_probes=probes,
-        cdf_values=ecdf_at(cores, probes),
+        cdf_values=ecdf_at(ordered, probes),
         pct_probes=pct_probes,
-        pct_cdf_values=ecdf_at(pct, pct_probes),
+        pct_cdf_values=ecdf_at(ordered / capacity * 100.0, pct_probes),
     )
 
 

@@ -98,14 +98,7 @@ def repetition_summary(
     ``min_jobs`` jobs, as the paper averages over representative users.
     """
     users = trace["user_id"]
-    # one stable grouping: each user's rows, in trace order, are a slice
-    by_user = np.argsort(users, kind="stable")
-    sorted_users = users[by_user]
-    first = np.ones(len(users), dtype=bool)
-    first[1:] = sorted_users[1:] != sorted_users[:-1]
-    starts = np.flatnonzero(first)
-    bounds = np.append(starts, len(users))
-    uniq, counts = sorted_users[starts], np.diff(bounds)
+    uniq, counts = np.unique(users, return_counts=True)
     eligible = uniq[counts >= min_jobs]
     if len(eligible) == 0:
         eligible = uniq
@@ -113,12 +106,19 @@ def repetition_summary(
     order = np.argsort(-counts[np.isin(uniq, eligible)])
     chosen = eligible[order][:n_representative_users]
 
+    # group only the chosen users' rows; the stable sort keeps each
+    # user's rows in trace order
+    picked = np.flatnonzero(np.isin(users, chosen))
+    by_user = picked[np.argsort(users[picked], kind="stable")]
+    picked_users = users[by_user]
+    starts = np.searchsorted(picked_users, chosen, side="left")
+    ends = np.searchsorted(picked_users, chosen, side="right")
+
     curves = []
     cores = trace["cores"]
     runtime = trace["runtime"]
-    for u in chosen:
-        k = np.searchsorted(uniq, u)
-        rows = by_user[bounds[k] : bounds[k + 1]]
+    for start, end in zip(starts, ends):
+        rows = by_user[start:end]
         groups = config_groups_for_user(cores[rows], runtime[rows], tolerance)
         _, sizes = np.unique(groups, return_counts=True)
         sizes = np.sort(sizes)[::-1]
@@ -246,19 +246,18 @@ def top_user_status_profiles(trace: Trace, n_users: int = 3) -> list[UserStatusP
     uniq, counts = np.unique(users, return_counts=True)
     top = uniq[np.argsort(-counts)][:n_users]
     out = []
-    runtime = trace["runtime"]
-    statuses = trace["status"]
     for u in top:
-        mask = users == u
+        rows = np.flatnonzero(users == u)
+        runtime = trace["runtime"][rows]
+        statuses = trace["status"][rows]
         violins: dict[str, ViolinSummary] = {}
         for status in JobStatus:
-            sel = mask & (statuses == int(status))
-            violins[status.label] = violin_summary(runtime[sel])
+            violins[status.label] = violin_summary(runtime[statuses == int(status)])
         out.append(
             UserStatusProfile(
                 system=trace.system.name,
                 user=int(u),
-                n_jobs=int(mask.sum()),
+                n_jobs=len(rows),
                 violins=violins,
             )
         )

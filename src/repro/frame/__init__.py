@@ -10,6 +10,7 @@ from .ops import (
     histogram_counts,
     log_bins,
     share,
+    violin_from_sorted,
     violin_summary,
 )
 
@@ -23,5 +24,6 @@ __all__ = [
     "cross_shares",
     "ViolinSummary",
     "violin_summary",
+    "violin_from_sorted",
     "log_bins",
 ]

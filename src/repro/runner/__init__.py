@@ -11,52 +11,48 @@ code itself).  :class:`RunOptions` holds every execution setting.
 
 See ``docs/PARALLELISM.md`` for the API, the cache-key contract, and the
 determinism guarantee.
+
+The names below load with their submodule on first use (PEP 562), so a
+command that reads only the runner flags (:mod:`.options`) does not
+import the sweep and, through it, the scheduler, prediction and ML stacks.
 """
 
-from .cache import ResultCache, code_version, stable_hash
-from .journal import SweepJournal
-from .options import (
-    ON_ERROR_POLICIES,
-    RunOptions,
-    add_run_arguments,
-    run_options_from_args,
-)
-from .sweep import (
-    SimTask,
-    SweepStats,
-    TaskResult,
-    WorkloadSpec,
-    derive_seed,
-    run_sweep,
-    workload_fingerprint,
-)
-from .watchdog import (
-    FailureReport,
-    RetryPolicy,
-    SweepError,
-    TaskFailure,
-    is_transient,
-)
+from __future__ import annotations
 
-__all__ = [
-    "ResultCache",
-    "code_version",
-    "stable_hash",
-    "SweepJournal",
-    "ON_ERROR_POLICIES",
-    "RunOptions",
-    "add_run_arguments",
-    "run_options_from_args",
-    "SimTask",
-    "SweepStats",
-    "TaskResult",
-    "WorkloadSpec",
-    "derive_seed",
-    "run_sweep",
-    "workload_fingerprint",
-    "FailureReport",
-    "RetryPolicy",
-    "SweepError",
-    "TaskFailure",
-    "is_transient",
-]
+import importlib
+
+#: exported name -> submodule defining it
+_EXPORTS = {
+    "ResultCache": "cache",
+    "code_version": "cache",
+    "stable_hash": "cache",
+    "SweepJournal": "journal",
+    "ON_ERROR_POLICIES": "options",
+    "RunOptions": "options",
+    "add_run_arguments": "options",
+    "run_options_from_args": "options",
+    "SimTask": "sweep",
+    "SweepStats": "sweep",
+    "TaskResult": "sweep",
+    "WorkloadSpec": "sweep",
+    "derive_seed": "sweep",
+    "run_sweep": "sweep",
+    "workload_fingerprint": "sweep",
+    "FailureReport": "watchdog",
+    "RetryPolicy": "watchdog",
+    "SweepError": "watchdog",
+    "TaskFailure": "watchdog",
+    "is_transient": "watchdog",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

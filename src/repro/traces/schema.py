@@ -159,10 +159,18 @@ class Trace:
         """Per-job turnaround (wait + runtime)."""
         return self.jobs["wait_time"] + self.jobs["runtime"]
 
+    def submit_times_sorted(self) -> np.ndarray:
+        """Submit times in non-decreasing order.
+
+        A trace already in submission order returns its column as is (no
+        copy): sorting it would move nothing.
+        """
+        t = self.jobs["submit_time"]
+        return t if np.all(t[1:] >= t[:-1]) else np.sort(t)
+
     def arrival_intervals(self) -> np.ndarray:
         """Deltas between consecutive submissions (submission order)."""
-        t = np.sort(self.jobs["submit_time"])
-        return np.diff(t)
+        return np.diff(self.submit_times_sorted())
 
     def status_mask(self, status: JobStatus) -> np.ndarray:
         """Boolean mask of jobs with the given final status."""

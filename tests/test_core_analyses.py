@@ -24,6 +24,7 @@ from repro.core import (
     wait_by_class,
     wait_summary,
 )
+from repro.core.geometry import hourly_counts
 from repro.core.users import _queue_classes
 from repro.core.utilization import _busy_integral
 from repro.experiments import run_experiment
@@ -85,6 +86,95 @@ class TestGeometry:
     def test_analyze_geometry_bundles(self):
         g = analyze_geometry(make_trace())
         assert g.runtime.system == g.arrival.system == g.allocation.system
+
+
+def _hourly_counts_by_modulo(local):
+    """Jobs per hour of day by the modular expression ``arrival_summary``
+    used before it searched hour boundaries."""
+    hours = ((local % 86400.0) // 3600.0).astype(int) % 24
+    return np.bincount(hours, minlength=24).astype(float)
+
+
+def _awkward_times(seed):
+    """Submit times on, just off and between hour and day boundaries,
+    negative ones included, in no particular order."""
+    rng = np.random.default_rng(seed)
+    edges = 3600.0 * np.arange(-60, 200)
+    near = np.concatenate([edges, edges - 1e-3, edges + 1e-3, edges - 0.5])
+    spread = rng.uniform(-5 * 86400.0, 9 * 86400.0, 2000)
+    whole = rng.integers(-400_000, 800_000, 500).astype(float)
+    times = np.concatenate([near, spread, whole, [0.0, -0.0, 86400.0, -86400.0]])
+    return rng.permutation(times)
+
+
+class TestHourlyCounts:
+    """Hour boundaries found by search give the modular expression's bins."""
+
+    @pytest.mark.parametrize("tz", [-8, -6, 0, 8])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_arrival_summary_matches_modulo(self, tz, seed):
+        submit = _awkward_times(seed)
+        system = dataclasses.replace(PHILLY, tz_offset_hours=tz)
+        n = len(submit)
+        tr = make_trace(
+            system,
+            submit_time=submit,
+            runtime=np.full(n, 60.0),
+            cores=np.ones(n, dtype=int),
+            wait_time=np.zeros(n),
+            status=np.zeros(n, dtype=int),
+        )
+        local = submit + tz * 3600.0
+        n_days = tr.span_seconds / 86400.0
+        got = arrival_summary(tr).hourly_counts
+        expected = _hourly_counts_by_modulo(local) / n_days
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("tz", [-8, -6, 0, 8])
+    def test_exact_boundaries(self, tz):
+        local = np.sort(3600.0 * np.arange(-50, 100) + tz * 3600.0)
+        got = hourly_counts(local)
+        assert got.tobytes() == _hourly_counts_by_modulo(local).tobytes()
+        assert got.sum() == len(local)
+
+    def test_single_job_and_empty(self):
+        for local in ([], [-1.0], [3599.999], [3600.0]):
+            local = np.array(local)
+            assert hourly_counts(local).tobytes() == _hourly_counts_by_modulo(local).tobytes()
+
+    def test_non_finite_submit_times(self):
+        # no hour: the span, and so every rate, is NaN or infinite anyway
+        for bad in (np.nan, np.inf, -np.inf):
+            submit = np.array([0.0, 5000.0, bad, 90000.0])
+            tr = make_trace(submit_time=submit)
+            with np.errstate(invalid="ignore"):
+                expected = _hourly_counts_by_modulo(submit - 8 * 3600.0) / (
+                    tr.span_seconds / 86400.0
+                )
+            got = arrival_summary(tr).hourly_counts
+            assert got.tobytes() == expected.tobytes()
+
+    def test_one_ulp_before_a_negative_hour_is_the_earlier_hour(self):
+        # The modular expression adds 86400 to a negative remainder, and
+        # the sum rounds up to the boundary for a time one ulp before it:
+        # hour 23 for a time in hour 22.  The boundary search takes the
+        # floor.  No synthesized trace holds such a time.
+        for boundary, hour in ((-3600.0, 22), (0.0, 23)):
+            local = np.array([np.nextafter(boundary, -np.inf)])
+            got = hourly_counts(local)
+            assert np.flatnonzero(got).tolist() == [hour] and got.sum() == 1
+            assert np.flatnonzero(_hourly_counts_by_modulo(local)).tolist() == [
+                (hour + 1) % 24
+            ]
+
+    def test_unsorted_trace_reads_as_sorted(self):
+        tr = make_trace(submit_time=[7200.0, 0.0, 3600.0, 100.0])
+        s = arrival_summary(tr)
+        assert s.median_interval == 3500.0
+        assert tr.arrival_intervals().tolist() == [100.0, 3500.0, 3600.0]
+        assert s.hourly_counts.tobytes() == (
+            _hourly_counts_by_modulo(tr["submit_time"] - 8 * 3600.0) / (7200.0 / 86400.0)
+        ).tobytes()
 
 
 class TestCoreHours:

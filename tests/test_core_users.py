@@ -12,8 +12,8 @@ from repro.core.users import (
     size_vs_queue,
     top_user_status_profiles,
 )
-from repro.frame import Frame
-from repro.traces import PHILLY, Trace
+from repro.frame import Frame, violin_summary
+from repro.traces import PHILLY, JobStatus, Trace
 from repro.traces.synth import generate_trace
 
 
@@ -188,6 +188,72 @@ class TestRepetition:
         hpc = repetition_summary(generate_trace("mira", days=8, seed=3))
         dl = repetition_summary(generate_trace("philly", days=8, seed=3))
         assert hpc.top(3) > dl.top(3)
+
+
+def _awkward_user_trace(seed, n=3000):
+    """Unknown (-1) and sparse user ids, and tied job counts at the top."""
+    rng = np.random.default_rng(seed)
+    ids = np.array([-1, 0, 7, 10**9, 2**40, 123_456_789, 3], dtype=np.int64)
+    # two pairs of ids share a count, so the heaviest-first order has ties
+    sizes = np.array([600, 600, 400, 400, 300, 50, 20])
+    users = rng.permutation(np.repeat(ids, sizes))
+    tail = rng.integers(-1, 5 * 10**8, n - len(users))
+    users = np.concatenate([users, tail])
+    m = len(users)
+    return Trace(
+        system=PHILLY,
+        jobs=Frame(
+            {
+                "submit_time": np.arange(m, dtype=float),
+                "runtime": rng.choice([60.0, 61.0, 65.0, 600.0, 3600.0], m)
+                * rng.uniform(0.97, 1.03, m),
+                "cores": rng.choice([1, 2, 8], m),
+                "user_id": users,
+                "status": rng.integers(0, 3, m),
+            }
+        ),
+    )
+
+
+def _status_profiles_by_mask(trace, n_users):
+    """Fig 11 panels selecting rows with full-length masks per status."""
+    users = trace["user_id"]
+    uniq, counts = np.unique(users, return_counts=True)
+    out = []
+    for u in uniq[np.argsort(-counts)][:n_users]:
+        mask = users == u
+        violins = {
+            status.label: violin_summary(
+                trace["runtime"][mask & (trace["status"] == int(status))]
+            ).as_dict()
+            for status in JobStatus
+        }
+        out.append((int(u), int(mask.sum()), violins))
+    return out
+
+
+class TestUserSelectionKernels:
+    """Fig 8 and Fig 11 pick the same users and rows as full-length masks."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("min_jobs", [30, 10**6])
+    def test_repetition_matches_mask_scan(self, seed, min_jobs):
+        tr = _awkward_user_trace(seed)
+        curve, n_users = _repetition_by_mask_scan(tr, min_jobs=min_jobs)
+        s = repetition_summary(tr, min_jobs=min_jobs)
+        assert s.n_users == n_users
+        assert s.cumulative_share.tobytes() == curve.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_status_profiles_match_masks(self, seed):
+        tr = _awkward_user_trace(seed)
+        got = [
+            (p.user, p.n_jobs, {k: v.as_dict() for k, v in p.violins.items()})
+            for p in top_user_status_profiles(tr, n_users=5)
+        ]
+        expected = _status_profiles_by_mask(tr, 5)
+        assert [u for u, _, _ in got] == [u for u, _, _ in expected]
+        np.testing.assert_equal(got, expected)
 
 
 class TestQueueConditioned:

@@ -55,6 +55,57 @@ class TestEcdf:
         assert ecdf_at(np.array([]), np.array([1.0, 2.0])).sum() == 0
 
 
+def _ecdf_at_by_sort(values, points):
+    """The ECDF by sorting and searching, as ``ecdf_at`` computed it before
+    it counted."""
+    values = np.sort(np.asarray(values, dtype=float))
+    points = np.asarray(points, dtype=float)
+    if values.size == 0:
+        return np.zeros_like(points)
+    return np.searchsorted(values, points, side="right") / len(values)
+
+
+#: values with NaN, both infinities and many duplicates
+SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, 1.0, 1.0, 2.5, -3.0])
+
+
+class TestEcdfAtCounts:
+    """``ecdf_at`` searches sorted values and counts ``values <= p`` in any
+    others; the sort-then-search it replaced is the reference."""
+
+    @given(
+        hnp.arrays(float, st.integers(0, 60), elements=st.one_of(SPECIAL, finite_floats)),
+        hnp.arrays(float, st.integers(0, 12), elements=st.one_of(SPECIAL, finite_floats)),
+    )
+    @settings(max_examples=300)
+    def test_matches_sorted_search(self, values, points):
+        expected = _ecdf_at_by_sort(values, points)
+        # unsorted values are counted, sorted ones searched
+        for v in (values, np.sort(values)):
+            got = ecdf_at(v, points)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    def test_special_values_and_unsorted_probes(self):
+        values = np.array([np.nan, 3.0, -np.inf, 3.0, np.inf, 1.0, np.nan])
+        points = np.array([np.inf, 3.0, np.nan, -np.inf, 0.0, 3.0, 10.0, 1.0])
+        got = ecdf_at(values, points)
+        assert got.tobytes() == _ecdf_at_by_sort(values, points).tobytes()
+        # NaN values count under no probe; a NaN probe reads 1.0
+        assert list(got) == [5 / 7, 4 / 7, 1.0, 1 / 7, 1 / 7, 4 / 7, 4 / 7, 2 / 7]
+
+    def test_empty_values(self):
+        points = np.array([np.nan, 1.0])
+        assert ecdf_at([], points).tobytes() == _ecdf_at_by_sort([], points).tobytes()
+
+    def test_probe_shape_kept(self):
+        values = np.array([2.0, 1.0, 3.0])
+        for points in (np.float64(2.0), np.array([[1.0, 2.0], [3.0, 0.0]])):
+            got = ecdf_at(values, points)
+            np.testing.assert_array_equal(got, _ecdf_at_by_sort(values, points))
+            assert np.shape(got) == np.shape(points)
+
+
 class TestShare:
     def test_partition_sums_to_one(self):
         w = np.array([1.0, 2.0, 3.0, 4.0])
@@ -139,6 +190,25 @@ class TestViolin:
     def test_as_dict_keys(self):
         d = violin_summary(np.array([1.0, 2.0])).as_dict()
         assert {"count", "min", "median", "max", "mode"} <= set(d)
+
+    @given(
+        hnp.arrays(
+            float,
+            st.integers(1, 80),
+            elements=st.one_of(finite_floats, st.sampled_from([0.0, 1.0, 1.0, 60.0])),
+        )
+    )
+    @settings(max_examples=200)
+    def test_quantiles_byte_equal_to_unsorted_quantile(self, values):
+        # +0.0 folds -0.0 into 0.0: which signed zero a selection returns
+        # is defined by neither the sort nor the partition
+        values = values + 0.0
+        v = violin_summary(values)
+        got = np.array([v.p05, v.p25, v.median, v.p75, v.p95])
+        expected = np.quantile(values, [0.05, 0.25, 0.5, 0.75, 0.95])
+        assert got.tobytes() == expected.tobytes()
+        # the mean still reads the input order
+        assert np.float64(v.mean).tobytes() == values.mean().tobytes()
 
     @given(hnp.arrays(float, st.integers(1, 100),
                       elements=st.floats(0.001, 1e6)))

@@ -91,3 +91,27 @@ def test_experiments_list_imports_no_experiment():
     assert modules == str(
         ["repro.experiments.__main__", "repro.experiments.common"]
     )
+
+
+def test_experiments_list_loads_no_engine_or_model():
+    # the CLI reads its runner flags from ``repro.runner.options``; the
+    # package loads ``sweep`` (and the engines through it) only on use
+    loaded = _loaded_after(
+        "from repro.experiments.__main__ import main\n"
+        "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['list'])"
+    )
+    assert _under(loaded, ["repro.sched", "repro.predict", "repro.ml"]) == []
+    assert "repro.runner.sweep" not in loaded
+
+
+def test_runner_names_load_on_first_use():
+    out = _run(
+        "import sys, repro.runner as runner\n"
+        "before = 'repro.runner.sweep' in sys.modules\n"
+        "missing = [n for n in runner.__all__ if getattr(runner, n, None) is None]\n"
+        "from repro.runner import SweepStats\n"
+        "print(before, missing, SweepStats.__module__)\n"
+    )
+    assert out.stdout.split() == ["False", "[]", "repro.runner.sweep"]
