@@ -37,18 +37,7 @@ import json
 import sys
 from pathlib import Path
 
-from .core.report import write_report
-from .core.study import CrossSystemStudy
 from .runner.options import add_run_arguments, run_options_from_args
-from .sched import (
-    EASY,
-    NO_BACKFILL,
-    adaptive_relaxed,
-    compute_metrics,
-    relaxed,
-    simulate,
-    workload_from_trace,
-)
 from .traces import read_swf, validate_trace, write_swf
 from .traces.synth import CALIBRATIONS, generate_trace
 from .viz import render_table, seconds
@@ -110,9 +99,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         )
         return 2
     trace = read_swf(args.trace)
-    name = trace.system.name.lower().replace(" ", "_")
-    study = CrossSystemStudy.from_traces({name: trace})
     if args.report:
+        from .core.report import write_report
+        from .core.study import CrossSystemStudy
+
+        name = trace.system.name.lower().replace(" ", "_")
+        study = CrossSystemStudy.from_traces({name: trace})
         path = write_report(study, args.report, title=f"Analysis of {args.trace}")
         print(f"wrote report to {path}")
     else:
@@ -137,12 +129,21 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-_BACKFILLS = {
-    "none": lambda args: NO_BACKFILL,
-    "easy": lambda args: EASY,
-    "relaxed": lambda args: relaxed(args.relax),
-    "adaptive": lambda args: adaptive_relaxed(args.relax),
-}
+#: ``--backfill`` choices
+_BACKFILL_MODES = ("adaptive", "easy", "none", "relaxed")
+
+
+def _backfill(args: argparse.Namespace):
+    """The backfill configuration ``--backfill`` and ``--relax`` select."""
+    from . import sched
+
+    if args.backfill == "none":
+        return sched.NO_BACKFILL
+    if args.backfill == "easy":
+        return sched.EASY
+    if args.backfill == "relaxed":
+        return sched.relaxed(args.relax)
+    return sched.adaptive_relaxed(args.relax)
 
 
 def _fault_config(args: argparse.Namespace, trace) -> "FaultConfig | None":
@@ -271,6 +272,8 @@ def _simulate_direct(args: argparse.Namespace, trace, workload, policy, backfill
     except ValueError as exc:
         print(f"invalid observability output: {exc}", file=sys.stderr)
         return 2
+    from .sched import compute_metrics, simulate
+
     result = simulate(
         workload,
         trace.system.schedulable_units,
@@ -455,11 +458,13 @@ def _simulate_sweep(args: argparse.Namespace, trace, workload, policies, backfil
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .sched import workload_from_trace
+
     trace = read_swf(args.trace)
     workload = workload_from_trace(trace)
     if args.max_jobs:
         workload = workload.slice(args.max_jobs)
-    backfill = _BACKFILLS[args.backfill](args)
+    backfill = _backfill(args)
     policies = [p.strip() for p in args.policy.split(",") if p.strip()]
     if not policies:
         print("--policy needs at least one policy name", file=sys.stderr)
@@ -529,6 +534,7 @@ def _render_perf_gate(entries: list[dict], key_header: str) -> str:
     rows = [
         [
             str(e["key"]),
+            e["field"],
             str(e["runs"]),
             f"{e['value']:.3f}",
             "-" if e["baseline"] is None else f"{e['baseline']:.3f}",
@@ -540,7 +546,7 @@ def _render_perf_gate(entries: list[dict], key_header: str) -> str:
         for e in entries
     ]
     return render_table(
-        [key_header, "runs", "latest (s)", "baseline (s)", "ratio", "verdict"],
+        [key_header, "field", "runs", "latest (s)", "baseline (s)", "ratio", "verdict"],
         rows,
         title="perf gate (baseline = median of preceding runs)",
     )
@@ -656,6 +662,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         collapse_stacks,
         format_collapsed,
     )
+    from .sched import simulate, workload_from_trace
 
     if args.sample_hz < 0:
         print("--sample-hz must be >= 0", file=sys.stderr)
@@ -671,7 +678,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     workload = workload_from_trace(trace)
     if args.max_jobs:
         workload = workload.slice(args.max_jobs)
-    backfill = _BACKFILLS[args.backfill](args)
+    backfill = _backfill(args)
     prof = Profiler()
     sampler = SamplingProfiler(hz=args.sample_hz) if args.sample_hz > 0 else None
     if sampler is not None:
@@ -782,6 +789,9 @@ def _cmd_clone(args: argparse.Namespace) -> int:
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
+    from .core.report import write_report
+    from .core.study import CrossSystemStudy
+
     study = CrossSystemStudy.generate(days=args.days, seed=args.seed)
     if args.report:
         path = write_report(study, args.report)
@@ -855,7 +865,7 @@ def main(argv: list[str] | None = None) -> int:
         "to sweep several policies over the same workload",
     )
     p.add_argument(
-        "--backfill", choices=sorted(_BACKFILLS), default="easy"
+        "--backfill", choices=_BACKFILL_MODES, default="easy"
     )
     p.add_argument("--relax", type=float, default=0.1)
     p.add_argument("--max-jobs", type=int, default=0)
@@ -1001,7 +1011,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("trace", type=Path)
     p.add_argument("--policy", default="fcfs", help="queue policy")
     p.add_argument(
-        "--backfill", choices=sorted(_BACKFILLS), default="easy"
+        "--backfill", choices=_BACKFILL_MODES, default="easy"
     )
     p.add_argument("--relax", type=float, default=0.1)
     p.add_argument("--max-jobs", type=int, default=0)

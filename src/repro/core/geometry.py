@@ -2,7 +2,9 @@
 
 Three geometries per system: runtime distribution (CDF + violin), arrival
 pattern (interval CDF + hour-of-day histogram), and resource allocation
-(requested cores CDF, absolute and as % of the system).
+(requested cores CDF, absolute and as % of the system).  The hour-of-day
+bins come from :func:`repro.frame.hourly_counts`, the kernel that
+``repro clone``'s diurnal fit also uses.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..frame import ViolinSummary, ecdf_at, violin_from_sorted
+from ..frame import ViolinSummary, ecdf_at, hourly_counts, violin_from_sorted
 from ..traces.schema import Trace, per_trace
 
 __all__ = [
@@ -20,7 +22,6 @@ __all__ = [
     "arrival_summary",
     "allocation_summary",
     "analyze_geometry",
-    "hourly_counts",
     "RUNTIME_PROBE_SECONDS",
     "INTERVAL_PROBE_SECONDS",
 ]
@@ -103,30 +104,6 @@ def runtime_summary(trace: Trace) -> RuntimeSummary:
         cdf_values=ecdf_at(ordered, RUNTIME_PROBE_SECONDS),
         violin=violin_from_sorted(rt, ordered),
     )
-
-
-def hourly_counts(local: np.ndarray) -> np.ndarray:
-    """Jobs per hour of day (float, length 24) of sorted local times.
-
-    ``np.searchsorted`` finds the exact hour boundaries ``3600 * k`` in
-    ``local`` (which must be non-decreasing), and hour ``k`` adds to hour
-    of day ``k % 24``: the floor of ``local / 3600`` without a division
-    per job.  The boundary array spans ``local``, one float per hour.
-    Non-finite times have no hour and count nowhere.
-    """
-    lo = np.searchsorted(local, -np.inf, side="right")
-    hi = np.searchsorted(local, np.inf, side="left")
-    local = local[lo:hi]
-    if len(local) == 0:
-        return np.zeros(24)
-    # the rounded division may land one hour late, never early: start one
-    # hour before it; the last hour's count runs to the end
-    first = int(np.floor(local[0] / 3600.0)) - 1
-    last = int(np.floor(local[-1] / 3600.0))
-    hours = np.arange(first, last + 1)
-    starts = np.searchsorted(local, 3600.0 * hours, side="left")
-    per_hour = np.diff(starts, append=len(local))
-    return np.bincount(hours % 24, weights=per_hour, minlength=24)
 
 
 @per_trace

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from ..traces.categorize import LENGTH_LABELS, SIZE_LABELS
+from ..viz import percent
 from .study import CrossSystemStudy
 
 __all__ = ["build_report", "write_report"]
@@ -25,10 +26,6 @@ def _md_table(headers: list[str], rows: list[list[str]]) -> str:
     ]
     lines += ["| " + " | ".join(str(c) for c in row) + " |" for row in rows]
     return "\n".join(lines)
-
-
-def _pct(x: float) -> str:
-    return "-" if not np.isfinite(x) else f"{100 * x:.1f}%"
 
 
 def _sec(x: float) -> str:
@@ -88,7 +85,7 @@ def build_report(study: CrossSystemStudy, title: str | None = None) -> str:
                     name,
                     _sec(g.runtime.median),
                     _sec(g.arrival.median_interval),
-                    _pct(g.allocation.single_unit_fraction),
+                    percent(g.allocation.single_unit_fraction),
                     f"{g.allocation.median_cores:.0f}",
                     "-"
                     if not np.isfinite(g.arrival.peak_ratio)
@@ -105,8 +102,8 @@ def build_report(study: CrossSystemStudy, title: str | None = None) -> str:
     for name, s in study.core_hours().items():
         rows.append(
             [name]
-            + [_pct(v) for v in s.by_size]
-            + [_pct(v) for v in s.by_length]
+            + [percent(v) for v in s.by_size]
+            + [percent(v) for v in s.by_length]
         )
     parts.append(
         _md_table(
@@ -122,7 +119,7 @@ def build_report(study: CrossSystemStudy, title: str | None = None) -> str:
     rows = []
     for name, series_list in study.utilization(n_buckets=50).items():
         for series in series_list:
-            rows.append([f"{name}/{series.pool}", _pct(series.average)])
+            rows.append([f"{name}/{series.pool}", percent(series.average)])
     parts.append(_md_table(["system/pool", "average utilization"], rows))
 
     # --- waits -----------------------------------------------------------------
@@ -154,10 +151,10 @@ def build_report(study: CrossSystemStudy, title: str | None = None) -> str:
     rows = [
         [
             name,
-            _pct(s.count_shares[0]),
-            _pct(s.count_shares[1]),
-            _pct(s.count_shares[2]),
-            _pct(s.wasted_core_hour_share),
+            percent(s.count_shares[0]),
+            percent(s.count_shares[1]),
+            percent(s.count_shares[2]),
+            percent(s.wasted_core_hour_share),
         ]
         for name, s in failures.items()
     ]
@@ -184,8 +181,8 @@ def build_report(study: CrossSystemStudy, title: str | None = None) -> str:
         rows.append(
             [
                 name,
-                _pct(reps[name].top(3)),
-                _pct(reps[name].top(10)),
+                percent(reps[name].top(3)),
+                percent(reps[name].top(10)),
                 trend,
             ]
         )

@@ -1,7 +1,7 @@
 """High-level cross-system study orchestrator — the library's front door.
 
 ``CrossSystemStudy`` bundles the five target systems' traces and exposes
-every analysis of the paper as one method each, so the quickstart is::
+the paper's analyses as one method each, so the quickstart is::
 
     from repro import CrossSystemStudy
     study = CrossSystemStudy.generate(days=30, seed=0)
@@ -19,17 +19,15 @@ from typing import TYPE_CHECKING
 from ..traces.schema import Trace
 from ..traces.synth import generate_all_traces
 from .corehours import CoreHourShares, core_hour_shares
-from .failures import StatusByClass, StatusShares, status_by_class, status_shares
+from .failures import StatusShares, status_shares
 from .geometry import GeometrySummary, analyze_geometry
 from .takeaways import TakeawayResult, evaluate_takeaways
 from .users import (
     QueueConditioned,
     RepetitionSummary,
-    UserStatusProfile,
     repetition_summary,
     runtime_vs_queue,
     size_vs_queue,
-    top_user_status_profiles,
 )
 from .utilization import UtilizationSeries, analyze_utilization
 from .waiting import WaitByClass, WaitSummary, wait_by_class, wait_summary
@@ -100,10 +98,6 @@ class CrossSystemStudy:
         """Fig 6: status distribution per system."""
         return {n: status_shares(t) for n, t in self.traces.items()}
 
-    def failures_by_class(self) -> dict[str, StatusByClass]:
-        """Fig 7: status vs geometry per system."""
-        return {n: status_by_class(t) for n, t in self.traces.items()}
-
     def repetition(self, **kwargs) -> dict[str, RepetitionSummary]:
         """Fig 8: per-user resource-config repetition."""
         return {n: repetition_summary(t, **kwargs) for n, t in self.traces.items()}
@@ -115,13 +109,6 @@ class CrossSystemStudy:
     def runtime_vs_queue(self) -> dict[str, QueueConditioned]:
         """Fig 10: runtime vs queue length."""
         return {n: runtime_vs_queue(t) for n, t in self.traces.items()}
-
-    def user_status_profiles(self, n_users: int = 3) -> dict[str, list[UserStatusProfile]]:
-        """Fig 11: per-user runtime-by-status profiles."""
-        return {
-            n: top_user_status_profiles(t, n_users)
-            for n, t in self.traces.items()
-        }
 
     # ------------------------------------------------------------------
     # Takeaways and use cases

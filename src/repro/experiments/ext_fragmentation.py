@@ -11,8 +11,6 @@ GPUs while jobs queue" picture (Fig 3 / Takeaway 5).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..sched import NO_BACKFILL, simulate, simulate_packed, workload_from_trace
 from ..viz import percent, render_table, seconds
 from .common import DEFAULT_DAYS, DEFAULT_SEED, ExperimentResult, get_traces

@@ -5,10 +5,8 @@ from .groupby import GroupBy
 from .ops import (
     ViolinSummary,
     cross_shares,
-    ecdf,
     ecdf_at,
-    histogram_counts,
-    log_bins,
+    hourly_counts,
     share,
     violin_from_sorted,
     violin_summary,
@@ -17,13 +15,11 @@ from .ops import (
 __all__ = [
     "Frame",
     "GroupBy",
-    "ecdf",
     "ecdf_at",
-    "histogram_counts",
+    "hourly_counts",
     "share",
     "cross_shares",
     "ViolinSummary",
     "violin_summary",
     "violin_from_sorted",
-    "log_bins",
 ]

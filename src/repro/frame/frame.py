@@ -8,12 +8,12 @@ sorting).
 
 Only the relational operations the reproduction needs are implemented:
 selection, boolean filtering, stable multi-key sorting, hash group-by with
-vectorized aggregation, inner/left joins, quantiles, and CSV round-tripping.
+vectorized aggregation, inner/left joins and quantiles.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -124,20 +124,6 @@ class Frame:
         more = "..." if self.num_columns > 8 else ""
         return f"Frame({self.num_rows} rows; {cols}{more})"
 
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_rows(
-        cls, rows: Iterable[Mapping[str, Any]], columns: Sequence[str] | None = None
-    ) -> "Frame":
-        """Build a Frame from an iterable of row dicts (slow path, for I/O)."""
-        rows = list(rows)
-        if not rows:
-            return cls({c: [] for c in columns} if columns else {})
-        names = list(columns) if columns else list(rows[0])
-        return cls({name: [row[name] for row in rows] for name in names})
-
     def copy(self) -> "Frame":
         """Deep copy (copies every column array)."""
         out = Frame()
@@ -225,11 +211,6 @@ class Frame:
         """Return row ``i`` as a plain dict (slow path, for tests/printing)."""
         return {k: v[i].item() if v[i].shape == () else v[i] for k, v in self._data.items()}
 
-    def iter_rows(self) -> Iterator[dict[str, Any]]:
-        """Iterate rows as dicts (slow path)."""
-        for i in range(self._length):
-            yield self.row(i)
-
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
@@ -255,12 +236,6 @@ class Frame:
             raise ValueError(f"cannot compute quantiles of empty column {name!r}")
         result = np.quantile(values, q)
         return result
-
-    def value_counts(self, name: str) -> "Frame":
-        """Unique values of a column with their counts, descending by count."""
-        values, counts = np.unique(self[name], return_counts=True)
-        order = np.argsort(counts)[::-1]
-        return Frame({name: values[order], "count": counts[order]})
 
     # ------------------------------------------------------------------
     # Joins / concat
@@ -393,21 +368,3 @@ class Frame:
                 "max": maxs,
             }
         )
-
-    def drop_duplicates(self, keys: Sequence[str] | str | None = None) -> "Frame":
-        """Rows with the first occurrence of each key combination kept."""
-        if keys is None:
-            keys = self.column_names
-        if isinstance(keys, str):
-            keys = [keys]
-        if not keys:
-            return self
-        if len(keys) == 1:
-            _, first = np.unique(self[keys[0]], return_index=True)
-        else:
-            stacked = np.stack(
-                [np.unique(self[k], return_inverse=True)[1] for k in keys],
-                axis=1,
-            )
-            _, first = np.unique(stacked, axis=0, return_index=True)
-        return self.take(np.sort(first))

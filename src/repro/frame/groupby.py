@@ -52,11 +52,6 @@ class GroupBy:
         self._starts = np.searchsorted(sorted_codes, np.arange(self._n_groups))
         self._ends = np.append(self._starts[1:], len(sorted_codes))
 
-    @property
-    def num_groups(self) -> int:
-        """Number of distinct key combinations."""
-        return self._n_groups
-
     def keys(self) -> Frame:
         """Frame of unique key combinations, one row per group."""
         return self._key_frame
@@ -105,12 +100,6 @@ class GroupBy:
         for g in range(self._n_groups):
             idx = self._order[self._starts[g] : self._ends[g]]
             yield self._key_frame.row(g), self._frame.take(idx)
-
-    def group_indices(self) -> list[np.ndarray]:
-        """Row indices of each group in the original frame."""
-        return [
-            self._order[s:e] for s, e in zip(self._starts, self._ends)
-        ]
 
     # ------------------------------------------------------------------
     def _segment_agg(self, sorted_values: np.ndarray, agg: str) -> np.ndarray:

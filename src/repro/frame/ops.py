@@ -1,8 +1,9 @@
 """Vectorized statistical helpers shared by the analysis layer.
 
 These are the numerical primitives behind the paper's figures: empirical
-CDFs (Fig 1, 4), violin summaries (Fig 1, 11), histograms, and weighted
-shares (Fig 2, 6).
+CDFs (Fig 1, 4), violin summaries (Fig 1, 11), hour-of-day counts (Fig 1
+and the fitted diurnal profile of ``repro clone``), and weighted shares
+(Fig 2, 6).
 """
 
 from __future__ import annotations
@@ -12,31 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ecdf",
     "ecdf_at",
-    "histogram_counts",
+    "hourly_counts",
     "share",
     "cross_shares",
     "ViolinSummary",
     "violin_summary",
     "violin_from_sorted",
-    "log_bins",
 ]
-
-
-def ecdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF of ``values``.
-
-    Returns ``(x, p)`` where ``x`` is sorted unique support and ``p`` is
-    P(X <= x).  Empty input yields two empty arrays.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return np.array([]), np.array([])
-    x = np.sort(values)
-    uniq, counts = np.unique(x, return_counts=True)
-    p = np.cumsum(counts) / len(x)
-    return uniq, p
 
 
 def ecdf_at(values: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -63,10 +47,28 @@ def ecdf_at(values: np.ndarray, points: np.ndarray) -> np.ndarray:
     return counts / len(values)
 
 
-def histogram_counts(values: np.ndarray, bins: np.ndarray) -> np.ndarray:
-    """Counts of values falling into ``bins`` edges (len(bins)-1 counts)."""
-    counts, _ = np.histogram(np.asarray(values, dtype=float), bins=bins)
-    return counts
+def hourly_counts(local: np.ndarray) -> np.ndarray:
+    """Jobs per hour of day (float, length 24) of sorted local times.
+
+    ``np.searchsorted`` finds the exact hour boundaries ``3600 * k`` in
+    ``local`` (which must be non-decreasing), and hour ``k`` adds to hour
+    of day ``k % 24``: the floor of ``local / 3600`` without a division
+    per job.  The boundary array spans ``local``, one float per hour.
+    Non-finite times have no hour and count nowhere.
+    """
+    lo = np.searchsorted(local, -np.inf, side="right")
+    hi = np.searchsorted(local, np.inf, side="left")
+    local = local[lo:hi]
+    if len(local) == 0:
+        return np.zeros(24)
+    # the rounded division may land one hour late, never early: start one
+    # hour before it; the last hour's count runs to the end
+    first = int(np.floor(local[0] / 3600.0)) - 1
+    last = int(np.floor(local[-1] / 3600.0))
+    hours = np.arange(first, last + 1)
+    starts = np.searchsorted(local, 3600.0 * hours, side="left")
+    per_hour = np.diff(starts, append=len(local))
+    return np.bincount(hours % 24, weights=per_hour, minlength=24)
 
 
 def share(
@@ -218,12 +220,3 @@ def violin_from_sorted(
         mean=float(values.mean()),
         mode=mode,
     )
-
-
-def log_bins(lo: float, hi: float, per_decade: int = 10) -> np.ndarray:
-    """Logarithmically spaced bin edges covering ``[lo, hi]``."""
-    if lo <= 0:
-        raise ValueError("log bins need lo > 0")
-    lo_e, hi_e = np.log10(lo), np.log10(hi)
-    n = max(2, int(np.ceil((hi_e - lo_e) * per_decade)) + 1)
-    return np.logspace(lo_e, hi_e, n)

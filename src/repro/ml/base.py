@@ -1,4 +1,4 @@
-"""Common regressor interface for the from-scratch ML substrate.
+"""Input checks shared by the from-scratch regressors.
 
 All models implement ``fit(X, y) -> self`` and ``predict(X) -> y_hat`` with
 plain NumPy arrays, mirroring the scikit-learn convention so the prediction
@@ -7,20 +7,9 @@ harness can treat the paper's five model families uniformly.
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
-
 import numpy as np
 
-__all__ = ["Regressor", "check_Xy", "check_X"]
-
-
-@runtime_checkable
-class Regressor(Protocol):
-    """Minimal fit/predict protocol."""
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "Regressor": ...
-
-    def predict(self, X: np.ndarray) -> np.ndarray: ...
+__all__ = ["check_Xy", "check_X"]
 
 
 def check_Xy(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Linear models: ordinary least squares and ridge regression."""
+"""Linear model: ordinary least squares."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 
 from .base import check_X, check_Xy
 
-__all__ = ["LinearRegression", "Ridge"]
+__all__ = ["LinearRegression"]
 
 
 class LinearRegression:
@@ -29,44 +29,6 @@ class LinearRegression:
             self.coef_, self.intercept_ = w[:-1], float(w[-1])
         else:
             self.coef_, self.intercept_ = w, 0.0
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Linear prediction."""
-        if self.coef_ is None:
-            raise RuntimeError("model not fitted")
-        X = check_X(X, len(self.coef_))
-        return X @ self.coef_ + self.intercept_
-
-
-class Ridge:
-    """L2-regularized least squares solved in closed form.
-
-    The intercept is not penalized (features are centred before solving).
-    """
-
-    def __init__(self, alpha: float = 1.0, fit_intercept: bool = True) -> None:
-        if alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        self.alpha = alpha
-        self.fit_intercept = fit_intercept
-        self.coef_: np.ndarray | None = None
-        self.intercept_: float = 0.0
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "Ridge":
-        """Solve ``(X'X + alpha I) w = X'y`` on centred data."""
-        X, y = check_Xy(X, y)
-        if self.fit_intercept:
-            x_mean = X.mean(axis=0)
-            y_mean = float(y.mean())
-            Xc, yc = X - x_mean, y - y_mean
-        else:
-            x_mean, y_mean = np.zeros(X.shape[1]), 0.0
-            Xc, yc = X, y
-        d = X.shape[1]
-        gram = Xc.T @ Xc + self.alpha * np.eye(d)
-        self.coef_ = np.linalg.solve(gram, Xc.T @ yc)
-        self.intercept_ = y_mean - float(x_mean @ self.coef_)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:

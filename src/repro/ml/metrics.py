@@ -1,16 +1,10 @@
-"""Regression metrics, including the paper's two Fig 12 metrics."""
+"""The paper's two Fig 12 regression metrics."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "mse",
-    "mae",
-    "r2_score",
-    "prediction_accuracy",
-    "underestimation_rate",
-]
+__all__ = ["prediction_accuracy", "underestimation_rate"]
 
 
 def _pair(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -21,28 +15,6 @@ def _pair(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, np.ndarra
     if y_true.size == 0:
         raise ValueError("empty inputs")
     return y_true, y_pred
-
-
-def mse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Mean squared error."""
-    y_true, y_pred = _pair(y_true, y_pred)
-    return float(np.mean((y_true - y_pred) ** 2))
-
-
-def mae(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Mean absolute error."""
-    y_true, y_pred = _pair(y_true, y_pred)
-    return float(np.mean(np.abs(y_true - y_pred)))
-
-
-def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Coefficient of determination (1 = perfect, 0 = mean predictor)."""
-    y_true, y_pred = _pair(y_true, y_pred)
-    ss_res = float(np.sum((y_true - y_pred) ** 2))
-    ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
-    if ss_tot == 0.0:
-        return 1.0 if ss_res == 0.0 else 0.0
-    return 1.0 - ss_res / ss_tot
 
 
 def prediction_accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:

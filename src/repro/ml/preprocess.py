@@ -1,10 +1,10 @@
-"""Preprocessing utilities: scaling and splitting."""
+"""Feature scaling."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["StandardScaler", "train_test_split"]
+__all__ = ["StandardScaler"]
 
 
 class StandardScaler:
@@ -32,44 +32,3 @@ class StandardScaler:
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         """Fit then transform in one call."""
         return self.fit(X).transform(X)
-
-    def inverse_transform(self, X: np.ndarray) -> np.ndarray:
-        """Undo the scaling."""
-        if self.mean_ is None:
-            raise RuntimeError("scaler not fitted")
-        return np.asarray(X, dtype=float) * self.scale_ + self.mean_
-
-
-def train_test_split(
-    *arrays: np.ndarray,
-    test_fraction: float = 0.25,
-    rng: np.random.Generator | None = None,
-    shuffle: bool = True,
-) -> list[np.ndarray]:
-    """Split arrays into train/test parts along axis 0.
-
-    Returns ``[a1_train, a1_test, a2_train, a2_test, ...]``.  With
-    ``shuffle=False`` the split is chronological (train = earliest rows),
-    which is the correct protocol for job-trace prediction.
-    """
-    if not arrays:
-        raise ValueError("need at least one array")
-    n = len(arrays[0])
-    if any(len(a) != n for a in arrays):
-        raise ValueError("all arrays must share length")
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
-    n_test = max(1, int(round(n * test_fraction)))
-    if n_test >= n:
-        raise ValueError("split leaves no training data")
-    if shuffle:
-        rng = rng or np.random.default_rng()
-        order = rng.permutation(n)
-    else:
-        order = np.arange(n)
-    train_idx, test_idx = order[: n - n_test], order[n - n_test :]
-    out: list[np.ndarray] = []
-    for a in arrays:
-        a = np.asarray(a)
-        out.extend([a[train_idx], a[test_idx]])
-    return out

@@ -15,13 +15,7 @@ import numpy as np
 from .base import check_X, check_Xy
 from .tree import DecisionTreeRegressor, _presort
 
-__all__ = ["QuantileGradientBoosting", "pinball_loss"]
-
-
-def pinball_loss(y_true: np.ndarray, y_pred: np.ndarray, q: float) -> float:
-    """Mean pinball (quantile) loss at quantile ``q``."""
-    diff = np.asarray(y_true, dtype=float) - np.asarray(y_pred, dtype=float)
-    return float(np.mean(np.where(diff >= 0, q * diff, (q - 1) * diff)))
+__all__ = ["QuantileGradientBoosting"]
 
 
 class QuantileGradientBoosting:

@@ -57,7 +57,6 @@ from .metrics import (
     Gauge,
     Histogram,
     Metrics,
-    merge_metric_payloads,
 )
 from .perf import PerfConfig, SamplingProfiler, SweepTrace
 from .profiling import NULL_PROFILER, NullProfiler, Profiler
@@ -108,7 +107,6 @@ __all__ = [
     "Histogram",
     "Metrics",
     "DEFAULT_BUCKETS",
-    "merge_metric_payloads",
     "Profiler",
     "NullProfiler",
     "NULL_PROFILER",

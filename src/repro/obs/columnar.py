@@ -9,8 +9,8 @@ preallocated NumPy columns (int8 kind codes, float64 ``t``, int64
 ``job``, int32 ``free``/``cores``, kind-specific extras) with amortized
 doubling growth, appended either one row at a time (``emit`` — the
 standard ``Tracer`` protocol, so any engine can write into a recorder)
-or in bulk (``append_rows`` — the API the fast engine's batched event
-drain uses).
+or in column blocks (``append_arrays`` — where the fast engine's
+vectorized flush lands).
 
 Decoding is exact, not approximate: :meth:`ColumnarRecorder.to_events`
 reproduces the *identical* dict stream — same kinds, same fields, same
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -151,28 +150,6 @@ class ColumnarRecorder:
         """Total recorded events (columnar rows + overflow events)."""
         return self._n + len(self._overflow)
 
-    def append_rows(self, rows: Sequence[tuple]) -> None:
-        """Bulk-append pre-encoded ``(kind, t, job, i0, i1, i2, f0, f1)``
-        rows — the fast engine stages tuples in a plain list and flushes
-        them here, so the per-event hot-path cost is one tuple + one
-        ``list.append``."""
-        k = len(rows)
-        if not k:
-            return
-        n0 = self._n
-        self._reserve(n0 + k)
-        kind, t, job, i0, i1, i2, f0, f1 = zip(*rows)
-        sl = slice(n0, n0 + k)
-        self._kind[sl] = np.fromiter(kind, dtype=np.int8, count=k)
-        self._t[sl] = np.fromiter(t, dtype=np.float64, count=k)
-        self._job[sl] = np.fromiter(job, dtype=np.int64, count=k)
-        self._i0[sl] = np.fromiter(i0, dtype=np.int32, count=k)
-        self._i1[sl] = np.fromiter(i1, dtype=np.int32, count=k)
-        self._i2[sl] = np.fromiter(i2, dtype=np.int64, count=k)
-        self._f0[sl] = np.fromiter(f0, dtype=np.float64, count=k)
-        self._f1[sl] = np.fromiter(f1, dtype=np.float64, count=k)
-        self._n = n0 + k
-
     def append_arrays(self, kind, t, job, i0, i1, i2, f0, f1) -> None:
         """Bulk-append full column blocks (stream-ordered, equal-length
         arrays) — the fast engine's vectorized flush lands here: one
@@ -184,37 +161,6 @@ class ColumnarRecorder:
         self._reserve(n0 + k)
         sl = slice(n0, n0 + k)
         self._kind[sl] = kind
-        self._t[sl] = t
-        self._job[sl] = job
-        self._i0[sl] = i0
-        self._i1[sl] = i1
-        self._i2[sl] = i2
-        self._f0[sl] = f0
-        self._f1[sl] = f1
-        self._n = n0 + k
-
-    def append_batch(
-        self,
-        kind: str,
-        t,
-        job,
-        i0=0,
-        i1=0,
-        i2=0,
-        f0=0.0,
-        f1=0.0,
-    ) -> None:
-        """Vectorized append: one kind, array-valued fields.
-
-        ``t``/``job``/``i0``.. accept NumPy arrays or scalars
-        (broadcast); rows land in argument order."""
-        job = np.asarray(job, dtype=np.int64)
-        k = job.shape[0] if job.ndim else 1
-        job = np.broadcast_to(job, (k,))
-        n0 = self._n
-        self._reserve(n0 + k)
-        sl = slice(n0, n0 + k)
-        self._kind[sl] = KIND_CODE[kind]
         self._t[sl] = t
         self._job[sl] = job
         self._i0[sl] = i0

@@ -19,7 +19,7 @@ Two export formats:
 
 Histogram buckets are **fixed and log-spaced** (a third of a decade per
 bucket from 1 ms to 10 Ms by default) so distributions from different runs
-are mergeable bucket-for-bucket.
+line up bucket for bucket.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "Histogram",
     "Metrics",
     "DEFAULT_BUCKETS",
-    "merge_metric_payloads",
 ]
 
 #: default histogram bounds: log-spaced, 3 buckets per decade, 1e-3 .. 1e7
@@ -121,23 +120,6 @@ class Histogram:
     def mean(self) -> float:
         """Mean of all observations (NaN when empty)."""
         return self.sum / self.count if self.count else math.nan
-
-    def approx_quantile(self, q: float) -> float:
-        """Bucket-resolution quantile estimate (upper bound of the bucket).
-
-        Coarse by construction — use it for reports, not for math.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if self.count == 0:
-            return math.nan
-        target = q * self.count
-        seen = 0
-        for i, c in enumerate(self.counts):
-            seen += c
-            if seen >= target and c:
-                return self.bounds[i] if i < len(self.bounds) else self.max
-        return self.max
 
 
 class Metrics:
@@ -315,65 +297,3 @@ class Metrics:
                 lines.append(f"{name}_sum {fmt(inst.sum)}")
                 lines.append(f"{name}_count {inst.count}")
         return "\n".join(lines) + "\n"
-
-
-def merge_metric_payloads(payloads) -> dict:
-    """Merge :meth:`Metrics.to_dict` snapshots from many processes.
-
-    This is why histogram buckets are fixed and log-spaced: snapshots from
-    different sweep workers merge bucket-for-bucket without rebinning.
-    Counters and histogram counts/sums add; counter-like extrema (min/max)
-    combine; gauges keep the last snapshot's value (a point-in-time read
-    has no cross-process sum).  Per-run gauge *time series* are dropped —
-    sim-time axes from unrelated cells don't align, and the per-cell
-    series survive unmerged in each cell's own sidecar payload.
-
-    Raises :class:`ValueError` when the same histogram name arrives with
-    different bucket bounds.
-    """
-    counters: dict[str, float] = {}
-    gauges: dict[str, float] = {}
-    histograms: dict[str, dict] = {}
-    n = 0
-    for payload in payloads:
-        n += 1
-        for name, value in payload.get("counters", {}).items():
-            counters[name] = counters.get(name, 0.0) + value
-        for name, value in payload.get("gauges", {}).items():
-            gauges[name] = value
-        for name, hist in payload.get("histograms", {}).items():
-            merged = histograms.get(name)
-            if merged is None:
-                histograms[name] = {
-                    "count": hist["count"],
-                    "sum": hist["sum"],
-                    "min": hist["min"],
-                    "max": hist["max"],
-                    "bounds": list(hist["bounds"]),
-                    "counts": list(hist["counts"]),
-                }
-                continue
-            if merged["bounds"] != list(hist["bounds"]):
-                raise ValueError(
-                    f"histogram {name!r} has mismatched bucket bounds "
-                    "across payloads; refusing to merge"
-                )
-            merged["count"] += hist["count"]
-            merged["sum"] += hist["sum"]
-            for extremum, pick in (("min", min), ("max", max)):
-                ours, theirs = merged[extremum], hist[extremum]
-                if ours is None:
-                    merged[extremum] = theirs
-                elif theirs is not None:
-                    merged[extremum] = pick(ours, theirs)
-            merged["counts"] = [
-                a + b for a, b in zip(merged["counts"], hist["counts"])
-            ]
-    for hist in histograms.values():
-        hist["mean"] = hist["sum"] / hist["count"] if hist["count"] else None
-    return {
-        "n_merged": n,
-        "counters": counters,
-        "gauges": gauges,
-        "histograms": histograms,
-    }

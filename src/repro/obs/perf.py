@@ -244,15 +244,6 @@ class SweepTrace:
             names.add(profile.get("worker") or f"pid-{profile.get('pid')}")
         return sorted(names)
 
-    def merged_metrics(self) -> dict | None:
-        """Bucket-exact merge of all cells' metrics snapshots, if any."""
-        from .metrics import merge_metric_payloads
-
-        snapshots = [c["metrics"] for c in self.cells if c.get("metrics")]
-        if not snapshots:
-            return None
-        return merge_metric_payloads(snapshots)
-
     def to_exporter(self) -> ChromeTraceExporter:
         """Build the Chrome trace exporter over everything ingested."""
         exporter = ChromeTraceExporter()
@@ -273,10 +264,6 @@ class SweepTrace:
                 args={"label": event["label"], **event.get("args", {})},
             )
         return exporter
-
-    def to_chrome(self) -> dict:
-        """Chrome trace-event JSON dict (open in Perfetto)."""
-        return self.to_exporter().to_dict()
 
     def collapsed(self) -> dict[str, int]:
         """Merged collapsed stacks (span trees + sampler samples)."""

@@ -31,7 +31,6 @@ renders it.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -93,21 +92,6 @@ class RunRecord:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RunRecord":
-        """Build from a parsed JSONL row; absent keys fall back to field
-        defaults (older registries predate ``status``/``attempt``)."""
-        kwargs = {}
-        for name, spec in cls.__dataclass_fields__.items():
-            if name in payload:
-                kwargs[name] = payload[name]
-            elif (
-                spec.default is dataclasses.MISSING
-                and spec.default_factory is dataclasses.MISSING
-            ):
-                kwargs[name] = None
-        return cls(**kwargs)
 
 
 def read_records(path: str | Path) -> list[dict]:
@@ -667,12 +651,20 @@ def perf_gate(
     with ``ratio: None`` — a brand-new bench has nothing to regress
     against.  This is what ``repro report --perf`` runs against
     ``BENCH_history.jsonl`` in CI (docs/OBSERVABILITY.md).
+
+    Rows of ``benchmark``-fixture benches also carry ``median_s``, the
+    median of one call, while their ``wall_seconds`` is pytest-benchmark's
+    calibrated test duration.  When gating ``wall_seconds``, a key whose
+    latest row carries ``median_s`` is gated on ``median_s`` over the rows
+    that carry it, if any row before the latest does; each entry's
+    ``field`` names what was compared.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     if regression_factor <= 1.0:
         raise ValueError("regression_factor must be > 1")
-    series: dict[str, list[float]] = {}
+    # per key, in log order: (value_field, median_s or None)
+    series: dict[str, list[tuple[float, float | None]]] = {}
     for record in records:
         key = record.get(key_field)
         value = record.get(value_field)
@@ -680,9 +672,17 @@ def perf_gate(
             continue
         if _status(record) != "ok":
             continue
-        series.setdefault(key, []).append(float(value))
+        per_call = record.get("median_s")
+        if value_field != "wall_seconds" or not isinstance(per_call, (int, float)):
+            per_call = None
+        series.setdefault(key, []).append((float(value), per_call))
     out: list[dict] = []
-    for key, values in series.items():
+    for key, rows in series.items():
+        field = value_field
+        values = [value for value, _ in rows]
+        per_call = [float(m) for _, m in rows if m is not None]
+        if rows[-1][1] is not None and len(per_call) > 1:
+            field, values = "median_s", per_call
         current = values[-1]
         baseline_values = values[max(0, len(values) - 1 - window):-1]
         if baseline_values:
@@ -696,6 +696,7 @@ def perf_gate(
         out.append(
             {
                 "key": key,
+                "field": field,
                 "runs": len(values),
                 "value": current,
                 "baseline": baseline,

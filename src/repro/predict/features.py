@@ -57,10 +57,6 @@ class PredictionDataset:
         col = np.full((self.n, 1), np.log1p(elapsed))
         return np.hstack([self.X, col])
 
-    def with_elapsed_values(self, elapsed: np.ndarray) -> np.ndarray:
-        """Design matrix with per-row elapsed values appended."""
-        return np.hstack([self.X, np.log1p(np.asarray(elapsed))[:, None]])
-
     def subset(self, mask: np.ndarray) -> "PredictionDataset":
         """Row subset."""
         return PredictionDataset(

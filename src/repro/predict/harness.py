@@ -87,23 +87,6 @@ class ElapsedComparison:
                 return r
         raise KeyError((model, fraction, arm))
 
-    def model_report(self) -> dict:
-        """Per-model wall-time totals over every fit this run executed.
-
-        ``{"model": {"fit_seconds", "predict_seconds", "n_fits"}}`` — the
-        exportable cost side of Fig 12, pairing each comparator's accuracy
-        with what its training actually cost.
-        """
-        out: dict[str, dict] = {}
-        for t in self.timings:
-            slot = out.setdefault(
-                t.model, {"fit_seconds": 0.0, "predict_seconds": 0.0, "n_fits": 0}
-            )
-            slot["fit_seconds"] += t.fit_seconds
-            slot["predict_seconds"] += t.predict_seconds
-            slot["n_fits"] += 1
-        return out
-
 
 def augment_with_checkpoints(
     train: PredictionDataset, threshold: float

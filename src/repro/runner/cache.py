@@ -32,7 +32,7 @@ import json
 import os
 from pathlib import Path
 
-__all__ = ["ResultCache", "code_version", "stable_hash"]
+__all__ = ["ResultCache", "code_version", "hash_u64", "stable_hash"]
 
 #: bump manually on semantic changes that source hashing cannot see
 #: (e.g. a NumPy version pin changing RNG streams)
@@ -47,6 +47,19 @@ def stable_hash(obj) -> str:
     """
     payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def hash_u64(seed: int, *parts) -> int:
+    """Unsigned 64-bit draw hashed from ``seed`` and arbitrary labels.
+
+    The first 8 bytes (big-endian) of the SHA-256 of
+    ``json.dumps([seed, *map(str, parts)])``.  Every seeded decision of
+    the runner (sweep seeds, retry jitter, chaos schedules) is one such
+    draw: it never depends on any other draw, so it is reproducible
+    whatever the worker count or completion order.
+    """
+    payload = json.dumps([int(seed), *[str(p) for p in parts]])
+    return int.from_bytes(hashlib.sha256(payload.encode("utf-8")).digest()[:8], "big")
 
 
 def _iter_package_sources(package) -> list[Path]:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-import json
 import multiprocessing
 import time
 from dataclasses import asdict, dataclass
@@ -48,7 +47,7 @@ from ..sched import (
     workload_from_trace,
 )
 from ..sched.job import SimWorkload
-from .cache import ResultCache, code_version, stable_hash
+from .cache import ResultCache, code_version, hash_u64, stable_hash
 from .journal import SweepJournal
 from .options import RunOptions
 from .watchdog import FailureReport, SweepError, _mp_context, run_watchdog
@@ -76,9 +75,7 @@ def derive_seed(base: int, *parts) -> int:
     parallel sweeps bit-identical to serial ones when each cell carries
     its own RNG.
     """
-    payload = json.dumps([int(base), *[str(p) for p in parts]])
-    digest = hashlib.sha256(payload.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") >> 1  # 63-bit non-negative
+    return hash_u64(base, *parts) >> 1  # 63-bit non-negative
 
 
 def workload_fingerprint(workload: SimWorkload) -> str:

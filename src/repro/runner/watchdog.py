@@ -36,9 +36,7 @@ in ``tests/test_chaos.py``).
 
 from __future__ import annotations
 
-import hashlib
 import heapq
-import json
 import multiprocessing
 import os
 import signal
@@ -47,6 +45,8 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 from multiprocessing.connection import wait
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+
+from .cache import hash_u64
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .sweep import SimTask, TaskResult
@@ -59,18 +59,6 @@ __all__ = [
     "is_transient",
     "run_watchdog",
 ]
-
-def _unit_draw(seed: int, *parts) -> float:
-    """Deterministic uniform draw in ``[0, 1)`` from hashed labels.
-
-    The same hash-not-sequence construction as
-    :func:`repro.runner.derive_seed`: one draw never depends on any other,
-    so retry jitter is reproducible per (cell, attempt) regardless of how
-    many other cells fail.
-    """
-    payload = json.dumps([int(seed), *[str(p) for p in parts]])
-    digest = hashlib.sha256(payload.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") / 2.0**64
 
 
 def is_transient(exc: BaseException) -> bool:
@@ -118,7 +106,7 @@ class RetryPolicy:
     def delay(self, fingerprint: str, attempt: int) -> float:
         """Seconds to wait after failed attempt number ``attempt`` (1-based)."""
         base = self.backoff_base * self.backoff_factor ** (attempt - 1)
-        u = _unit_draw(self.seed, fingerprint, attempt)
+        u = hash_u64(self.seed, fingerprint, attempt) / 2.0**64
         return base * (1.0 + self.jitter * u)
 
 

@@ -23,7 +23,6 @@ from .metrics import (
     bounded_slowdown,
     compute_metrics,
     compute_resilience_metrics,
-    observed_metrics,
 )
 from .nodes import NodeCluster, PackedSimResult, simulate_packed
 from .policies import POLICIES, FairSharePolicy, Policy, get_policy
@@ -69,7 +68,6 @@ __all__ = [
     "adaptive_relaxed",
     "ScheduleMetrics",
     "compute_metrics",
-    "observed_metrics",
     "bounded_slowdown",
     "BSLD_BOUND",
 ]

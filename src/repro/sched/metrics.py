@@ -29,7 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ScheduleMetrics",
     "compute_metrics",
-    "observed_metrics",
     "bounded_slowdown",
     "ResilienceMetrics",
     "compute_resilience_metrics",
@@ -145,12 +144,6 @@ class ResilienceMetrics:
         ):
             object.__setattr__(self, f, caster(getattr(self, f)))
 
-    @property
-    def waste_share(self) -> float:
-        """Wasted fraction of all occupied core-hours."""
-        total = self.goodput_core_hours + self.wasted_core_hours
-        return self.wasted_core_hours / total if total > 0 else 0.0
-
     def as_dict(self) -> dict[str, float]:
         """Plain-dict view for table rendering / JSON export."""
         return {
@@ -187,30 +180,4 @@ def compute_resilience_metrics(result: "FaultSimResult") -> ResilienceMetrics:
         max_attempts=int(result.attempts.max()),
         mean_wait=float(result.wait.mean()),
         n_jobs=result.workload.n,
-    )
-
-
-def observed_metrics(trace, bound: float = BSLD_BOUND) -> ScheduleMetrics:
-    """Metrics of a trace's *recorded* schedule (no simulation).
-
-    Uses the trace's observed waits directly, so simulated policies can be
-    compared against what the production scheduler actually did.
-    Utilization is measured over the submission window; violation is not
-    observable from a trace and reported as 0.
-    """
-    wait = trace["wait_time"]
-    runtime = trace["runtime"]
-    cores = trace["cores"]
-    bsld = bounded_slowdown(wait, runtime, bound)
-    span = max(trace.span_seconds, 1.0)
-    util = float(
-        (cores * runtime).sum() / (trace.system.schedulable_units * span)
-    )
-    return ScheduleMetrics(
-        wait=float(wait.mean()),
-        bsld=float(bsld.mean()),
-        util=min(util, 1.0),
-        violation=0.0,
-        violation_count=0,
-        n_jobs=trace.num_jobs,
     )

@@ -25,7 +25,7 @@ import numpy as np
 
 from .job import SimWorkload
 
-__all__ = ["NodeCluster", "PackedSimResult", "simulate_packed", "fragmentation_series"]
+__all__ = ["NodeCluster", "PackedSimResult", "simulate_packed"]
 
 
 class NodeCluster:
@@ -41,11 +41,6 @@ class NodeCluster:
         self.free_per_node = np.full(n_nodes, gpus_per_node, dtype=np.int64)
         # job -> list of (node, gpus) it holds
         self._alloc: dict[int, list[tuple[int, int]]] = {}
-
-    @property
-    def total_free(self) -> int:
-        """Free GPUs across all nodes."""
-        return int(self.free_per_node.sum())
 
     @property
     def capacity(self) -> int:
@@ -184,8 +179,3 @@ def simulate_packed(
         frag_times=np.asarray(frag_t),
         frag_values=np.asarray(frag_v),
     )
-
-
-def fragmentation_series(result: PackedSimResult) -> tuple[np.ndarray, np.ndarray]:
-    """The (time, unusable GPUs) series of a packed run."""
-    return result.frag_times, result.frag_values

@@ -20,7 +20,7 @@ deterministic faults into worker attempts:
   exercising quarantine-on-read in a later run.
 
 Every decision is a pure hash draw over ``(seed, fingerprint, attempt)``
-— the same hash-not-stream construction as
+— :func:`repro.runner.cache.hash_u64`, the draw behind
 :func:`repro.runner.derive_seed` — so a chaos schedule is reproducible
 bit-for-bit, independent of worker count, completion order, or how many
 other cells fault.  Crucially, chaos only decides *whether an attempt
@@ -33,12 +33,12 @@ smoke step).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import os
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from ..runner.cache import hash_u64
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from pathlib import Path
@@ -95,9 +95,7 @@ class ChaosConfig:
     # ----------------------------------------------------------- draws
     def _draw(self, *parts) -> float:
         """Uniform ``[0, 1)`` from ``(seed, *parts)`` — pure, order-free."""
-        payload = json.dumps([int(self.seed), *[str(p) for p in parts]])
-        digest = hashlib.sha256(payload.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") / 2.0**64
+        return hash_u64(self.seed, *parts) / 2.0**64
 
     def fault_for(self, fingerprint: str, attempt: int) -> str | None:
         """The pre-execution fault this attempt draws, if any.

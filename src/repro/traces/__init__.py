@@ -26,7 +26,6 @@ from .systems import (
     ResourceKind,
     SystemKind,
     SystemSpec,
-    get_system,
 )
 from .validate import ValidationIssue, ValidationReport, validate_trace
 
@@ -44,7 +43,6 @@ __all__ = [
     "BLUE_WATERS",
     "PHILLY",
     "HELIOS",
-    "get_system",
     "read_swf",
     "write_swf",
     "mix_traces",

@@ -172,10 +172,6 @@ class Trace:
         """Deltas between consecutive submissions (submission order)."""
         return np.diff(self.submit_times_sorted())
 
-    def status_mask(self, status: JobStatus) -> np.ndarray:
-        """Boolean mask of jobs with the given final status."""
-        return self.jobs["status"] == int(status)
-
     def window(self, start: float, end: float) -> "Trace":
         """Jobs submitted in ``[start, end)``."""
         t = self.jobs["submit_time"]

@@ -3,14 +3,12 @@
 from .behavior import QueueFeedback, StatusModel, WaitModel, queue_length_at_submit
 from .calibration import CALIBRATIONS, SystemCalibration, get_calibration
 from .distributions import (
-    BoundedParetoDist,
     ClippedDist,
     ConstantDist,
     DiscreteDist,
     Distribution,
     LogNormalDist,
     MixtureDist,
-    UniformDist,
 )
 from .diurnal import (
     DiurnalProfile,
@@ -43,8 +41,6 @@ __all__ = [
     "zipf_weights",
     "Distribution",
     "LogNormalDist",
-    "BoundedParetoDist",
-    "UniformDist",
     "ConstantDist",
     "MixtureDist",
     "DiscreteDist",

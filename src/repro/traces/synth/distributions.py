@@ -2,28 +2,25 @@
 
 All distributions draw from an explicit ``numpy.random.Generator`` and are
 fully vectorized.  Runtimes are modeled as lognormal mixtures (the standard
-fit for batch-job runtimes), sizes as discrete distributions over valid
-allocation shapes, and heavy tails via bounded Pareto components.
+fit for batch-job runtimes) and sizes as discrete distributions over valid
+allocation shapes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
 __all__ = [
     "Distribution",
     "LogNormalDist",
-    "BoundedParetoDist",
-    "UniformDist",
     "ConstantDist",
     "MixtureDist",
     "DiscreteDist",
     "ClippedDist",
     "SizeConditionalRuntime",
-    "lognormal_from_median",
     "choice_cdf",
     "sample_cdf",
 ]
@@ -91,52 +88,6 @@ class LogNormalDist:
 
     def mean(self) -> float:
         return float(self.median * np.exp(self.sigma**2 / 2))
-
-
-def lognormal_from_median(median: float, sigma: float) -> LogNormalDist:
-    """Convenience constructor mirroring the calibration tables."""
-    return LogNormalDist(median=median, sigma=sigma)
-
-
-@dataclass(frozen=True)
-class BoundedParetoDist:
-    """Pareto truncated to ``[lo, hi]`` with shape ``alpha`` (heavy tails)."""
-
-    lo: float
-    hi: float
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not (0 < self.lo < self.hi) or self.alpha <= 0:
-            raise ValueError("need 0 < lo < hi and alpha > 0")
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.random(size)
-        l_a, h_a = self.lo**self.alpha, self.hi**self.alpha
-        # inverse-CDF of the bounded Pareto
-        return (-(u * h_a - u * l_a - h_a) / (h_a * l_a)) ** (-1.0 / self.alpha)
-
-    def mean(self) -> float:
-        a, lo, hi = self.alpha, self.lo, self.hi
-        if abs(a - 1.0) < 1e-12:
-            return float((np.log(hi / lo)) / (1 / lo - 1 / hi))
-        num = a / (a - 1) * (lo ** (1 - a) - hi ** (1 - a))
-        den = lo ** (-a) - hi ** (-a)
-        return float(num / den)
-
-
-@dataclass(frozen=True)
-class UniformDist:
-    """Uniform on ``[lo, hi]``."""
-
-    lo: float
-    hi: float
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi, size=size)
-
-    def mean(self) -> float:
-        return (self.lo + self.hi) / 2
 
 
 @dataclass(frozen=True)
@@ -244,18 +195,6 @@ class SizeConditionalRuntime:
             n = int(mask.sum())
             if n:
                 out[mask] = dist.sample(rng, n)
-            lo = hi
-        return out
-
-    def mean_for(self, cores: np.ndarray) -> np.ndarray:
-        """Bucket means per entry of ``cores`` (for load estimation)."""
-        cores = np.asarray(cores, dtype=float)
-        out = np.empty(len(cores), dtype=float)
-        lo = -np.inf
-        for hi, dist in self.buckets:
-            mask = (cores > lo) & (cores <= hi)
-            if mask.any():
-                out[mask] = dist.mean()
             lo = hi
         return out
 

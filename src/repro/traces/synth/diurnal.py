@@ -41,13 +41,6 @@ class DiurnalProfile:
         w = np.asarray(self.weights, dtype=float)
         return w / w.sum()
 
-    @property
-    def max_min_ratio(self) -> float:
-        """Ratio between the busiest and quietest hour (inf if a zero hour)."""
-        w = np.asarray(self.weights, dtype=float)
-        lo = w.min()
-        return float("inf") if lo == 0 else float(w.max() / lo)
-
     @cached_property
     def hour_cdf(self) -> np.ndarray:
         """CDF over the 24 hours, built once (see :func:`.distributions.choice_cdf`)."""
@@ -67,12 +60,6 @@ class DiurnalProfile:
         t = day_index * SECONDS_PER_DAY + tod
         t = t[t < days * SECONDS_PER_DAY]
         return np.sort(t)
-
-    def intensity_at(self, seconds: np.ndarray) -> np.ndarray:
-        """Relative intensity (mean 1.0) at absolute times ``seconds``."""
-        hours = ((np.asarray(seconds) % SECONDS_PER_DAY) // SECONDS_PER_HOUR).astype(int)
-        w = self.normalized * 24.0
-        return w[hours]
 
 
 def flat_profile() -> DiurnalProfile:

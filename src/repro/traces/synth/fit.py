@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ...frame import hourly_counts
 from ..categorize import trace_length_class, trace_size_class
 from ..schema import JobStatus, Trace
 from .behavior import QueueFeedback, StatusModel, WaitModel
@@ -141,9 +142,9 @@ def _fit_sizes(cores: np.ndarray, max_values: int = 24) -> DiscreteDist:
 
 
 def _fit_diurnal(trace: Trace) -> DiurnalProfile:
-    local = trace["submit_time"] + trace.system.tz_offset_hours * 3600.0
-    hours = ((local % 86400.0) // 3600.0).astype(int) % 24
-    counts = np.bincount(hours, minlength=24).astype(float) + 1.0  # smoothing
+    # adding a constant keeps the times sorted
+    local = trace.submit_times_sorted() + trace.system.tz_offset_hours * 3600.0
+    counts = hourly_counts(local) + 1.0  # smoothing
     return DiurnalProfile(weights=tuple(counts))
 
 

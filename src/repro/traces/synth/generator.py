@@ -27,7 +27,6 @@ import numpy as np
 from ...frame import Frame
 from ..categorize import size_class
 from ..schema import Trace
-from ..systems import SystemSpec
 from .behavior import queue_length_at_submit
 from .calibration import CALIBRATIONS, SystemCalibration, get_calibration
 from .users import UserPopulation, generate_arrivals

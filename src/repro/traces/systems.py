@@ -26,7 +26,6 @@ __all__ = [
     "ALIBABA",
     "ALL_SYSTEMS",
     "TARGET_SYSTEMS",
-    "get_system",
 ]
 
 
@@ -93,12 +92,6 @@ class SystemSpec:
         if self.resource is ResourceKind.CPU:
             return self.cores
         return self.cores + self.gpus
-
-    @property
-    def is_dl(self) -> bool:
-        """True for DL-centric clusters (GPU resource accounting)."""
-        return self.kind is SystemKind.DL
-
 
 MIRA = SystemSpec(
     name="Mira",
@@ -256,18 +249,3 @@ TARGET_SYSTEMS: tuple[SystemSpec, ...] = (
     PHILLY,
     HELIOS,
 )
-
-_BY_NAME = {s.name.lower().replace(" ", "_"): s for s in ALL_SYSTEMS}
-_BY_NAME["bluewaters"] = BLUE_WATERS
-_BY_NAME["bw"] = BLUE_WATERS
-
-
-def get_system(name: str) -> SystemSpec:
-    """Look up a system by (case/space-insensitive) name."""
-    key = name.lower().replace(" ", "_").replace("-", "_")
-    try:
-        return _BY_NAME[key]
-    except KeyError:
-        raise KeyError(
-            f"unknown system {name!r}; known: {sorted(_BY_NAME)}"
-        ) from None

@@ -145,23 +145,16 @@ class TestRecorder:
 
     def test_growth_from_tiny_capacity(self):
         rec = ColumnarRecorder(capacity=16)
-        rows = [(2, float(i), i, 1, 1, 0, float(i), 0.0) for i in range(1000)]
-        rec.append_rows(rows)
+        n = 1000
+        ones = np.ones(n, dtype=np.int32)
+        rec.append_arrays(
+            np.full(n, 2, dtype=np.int8), np.arange(n, dtype=float),
+            np.arange(n), ones, ones, np.zeros(n, dtype=np.int64),
+            np.arange(n, dtype=float), np.zeros(n),
+        )
         events = rec.to_events()
         assert len(events) == 1000
         assert events[-1]["t"] == 999.0
-
-    def test_append_batch_vectorized(self):
-        rec = ColumnarRecorder()
-        jobs = np.arange(5, dtype=np.int64)
-        rec.append_batch(
-            "submit", t=2.0, job=jobs, i0=np.full(5, 3),
-            i1=np.arange(1, 6), i2=0, f0=2.0,
-        )
-        events = rec.to_events()
-        assert [e["job"] for e in events] == [0, 1, 2, 3, 4]
-        assert [e["queue"] for e in events] == [1, 2, 3, 4, 5]
-        assert all(e["cores"] == 3 for e in events)
 
     def test_npz_roundtrip_exact(self, tmp_path):
         wl = _workload(n=80, seed=5)

@@ -24,16 +24,14 @@ from repro.core import (
     wait_by_class,
     wait_summary,
 )
-from repro.core.geometry import hourly_counts
 from repro.core.users import _queue_classes
 from repro.core.utilization import _busy_integral
 from repro.experiments import run_experiment
-from repro.frame import Frame
+from repro.frame import Frame, hourly_counts
 from repro.traces import (
     BLUE_WATERS,
     MIRA,
     PHILLY,
-    JobStatus,
     Trace,
     length_class,
     size_class,

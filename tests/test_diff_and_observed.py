@@ -1,38 +1,11 @@
-"""Tests for the results-diff tool and observed-schedule metrics."""
+"""Tests for the results-diff tool."""
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.experiments import run_experiment
 from repro.experiments.diff import diff_results
-from repro.sched import compute_metrics, observed_metrics, simulate, workload_from_trace
-from repro.traces.synth import generate_trace
-
-
-class TestObservedMetrics:
-    @pytest.fixture(scope="class")
-    def trace(self):
-        return generate_trace("theta", days=3, seed=1)
-
-    def test_wait_matches_trace(self, trace):
-        m = observed_metrics(trace)
-        assert m.wait == pytest.approx(float(trace["wait_time"].mean()))
-        assert m.n_jobs == trace.num_jobs
-
-    def test_util_bounded(self, trace):
-        m = observed_metrics(trace)
-        assert 0.0 < m.util <= 1.0
-
-    def test_comparable_to_simulation(self, trace):
-        observed = observed_metrics(trace)
-        simulated = compute_metrics(
-            simulate(workload_from_trace(trace), trace.system.schedulable_units)
-        )
-        # both describe the same workload: same order of magnitude
-        assert simulated.wait < 100 * max(observed.wait, 1.0)
-        assert observed.bsld >= 1.0 and simulated.bsld >= 1.0
 
 
 class TestDiffResults:

@@ -343,7 +343,6 @@ class TestResilienceMetrics:
         rm = compute_resilience_metrics(res)
         assert rm.completed_fraction == 1.0
         assert rm.wasted_core_hours == 0.0
-        assert rm.waste_share == 0.0
         assert rm.mean_attempts == 1.0
         assert rm.goodput_core_hours == pytest.approx(400.0 / 3600.0)
         # both jobs run simultaneously on a full cluster

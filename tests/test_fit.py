@@ -1,13 +1,18 @@
 """Tests for workload-model fitting (EM mixtures + calibration cloning)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.frame import Frame
+from repro.traces import PHILLY, Trace
 from repro.traces.synth import (
     fit_calibration,
     fit_lognormal_mixture,
     generate_trace,
 )
+from repro.traces.synth.fit import _fit_diurnal
 
 RNG = lambda s=0: np.random.default_rng(s)
 
@@ -111,3 +116,60 @@ class TestCalibrationFit:
         tiny = generate_trace("theta", days=0.5, seed=4, jobs_per_day=60)
         with pytest.raises(ValueError, match="at least 100"):
             fit_calibration(tiny)
+
+
+def _diurnal_by_modulo(trace):
+    """The fitted hour weights by the modular expression ``_fit_diurnal``
+    used before it called ``hourly_counts``."""
+    local = trace["submit_time"] + trace.system.tz_offset_hours * 3600.0
+    hours = ((local % 86400.0) // 3600.0).astype(int) % 24
+    return np.bincount(hours, minlength=24).astype(float) + 1.0
+
+
+def _trace_at(submit, tz=0):
+    system = dataclasses.replace(PHILLY, tz_offset_hours=tz)
+    n = len(submit)
+    return Trace(
+        system=system,
+        jobs=Frame(
+            {
+                "submit_time": np.asarray(submit, dtype=float),
+                "runtime": np.full(n, 60.0),
+                "cores": np.ones(n, dtype=int),
+                "wait_time": np.zeros(n),
+                "status": np.zeros(n, dtype=int),
+            }
+        ),
+    )
+
+
+class TestFittedDiurnal:
+    """``repro clone`` bins hours with ``hourly_counts``, as Fig 1b does."""
+
+    @pytest.mark.parametrize("system", ["theta", "helios", "philly"])
+    def test_generated_trace_bins_as_before(self, system):
+        trace = generate_trace(system, days=3, seed=2)
+        got = np.asarray(_fit_diurnal(trace).weights)
+        assert got.tobytes() == _diurnal_by_modulo(trace).tobytes()
+
+    @pytest.mark.parametrize("tz", [-8, 0, 8])
+    def test_boundaries_and_order(self, tz):
+        rng = np.random.default_rng(tz + 10)
+        edges = 3600.0 * np.arange(-30, 80)
+        submit = rng.permutation(
+            np.concatenate([edges, edges + 0.5, edges - 0.5, rng.uniform(-1e5, 3e5, 500)])
+        )
+        trace = _trace_at(submit, tz)
+        got = np.asarray(_fit_diurnal(trace).weights)
+        assert got.tobytes() == _diurnal_by_modulo(trace).tobytes()
+
+    def test_one_ulp_before_a_negative_hour_is_the_earlier_hour(self):
+        # The only input on which the fit changed: the modular expression
+        # rounds a local time one ulp below a negative hour boundary up
+        # into the next hour; hourly_counts takes the floor.
+        trace = _trace_at([np.nextafter(-3600.0, -np.inf), 0.0])
+        got = np.asarray(_fit_diurnal(trace).weights)
+        before = _diurnal_by_modulo(trace)
+        assert got[22] == 2.0 and got[23] == 1.0
+        assert before[22] == 1.0 and before[23] == 2.0
+        assert np.delete(got, [22, 23]).tolist() == np.delete(before, [22, 23]).tolist()

@@ -36,16 +36,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="1-D"):
             Frame({"a": np.zeros((2, 2))})
 
-    def test_from_rows(self):
-        f = Frame.from_rows([{"a": 1, "b": 2.0}, {"a": 3, "b": 4.0}])
-        assert f.num_rows == 2
-        assert list(f["a"]) == [1, 3]
-
-    def test_from_rows_empty_with_columns(self):
-        f = Frame.from_rows([], columns=["a", "b"])
-        assert f.column_names == ["a", "b"]
-        assert f.num_rows == 0
-
     def test_missing_column_keyerror_lists_available(self, small):
         with pytest.raises(KeyError, match="no column 'zz'"):
             small["zz"]
@@ -145,7 +135,6 @@ class TestRowOps:
 
     def test_row_and_iter(self, small):
         assert small.row(0) == {"a": 3, "b": 30.0, "name": "x"}
-        assert len(list(small.iter_rows())) == 4
 
 
 class TestAggregation:
@@ -162,10 +151,6 @@ class TestAggregation:
         filtered = small.filter(np.zeros(small.num_rows, dtype=bool))
         with pytest.raises(ValueError, match="empty column"):
             filtered.quantile("b", [0.25, 0.75])
-
-    def test_value_counts(self, small):
-        vc = small.value_counts("name")
-        assert vc.row(0) == {"name": "y", "count": 2}
 
     def test_concat(self, small):
         f = Frame.concat([small, small])
@@ -237,17 +222,3 @@ class TestSummaries:
         d = f.describe()
         assert d["count"][0] == 0
         assert np.isnan(d["mean"][0])
-
-    def test_drop_duplicates_single_key(self, small):
-        f = small.drop_duplicates("a")
-        assert f.num_rows == 3
-        # first occurrence kept: a==1 row has b==10
-        assert f["b"][f["a"] == 1][0] == 10.0
-
-    def test_drop_duplicates_multi_key(self):
-        f = Frame({"a": [1, 1, 1], "b": [2, 2, 3]}).drop_duplicates(["a", "b"])
-        assert f.num_rows == 2
-
-    def test_drop_duplicates_all_columns(self, small):
-        doubled = Frame.concat([small, small])
-        assert doubled.drop_duplicates().num_rows == small.num_rows

@@ -17,10 +17,6 @@ def f():
     )
 
 
-def test_num_groups(f):
-    assert f.groupby("g").num_groups == 3
-
-
 def test_keys_sorted_unique(f):
     keys = f.groupby("g").keys()
     assert list(keys["g"]) == [0, 1, 2]
@@ -68,7 +64,7 @@ def test_agg_unknown_raises(f):
 
 def test_multi_key_groupby(f):
     gb = f.groupby(["g", "h"])
-    assert gb.num_groups == 4
+    assert gb.keys().num_rows == 4
     out = gb.agg(n=("x", "count"))
     # (g=1, h='a') has two rows
     mask = (out["g"] == 1) & (out["h"] == "a")
@@ -85,11 +81,6 @@ def test_groups_iteration(f):
         (key["g"], sub.num_rows) for key, sub in f.groupby("g").groups()
     )
     assert groups == {0: 2, 1: 2, 2: 1}
-
-
-def test_group_indices_partition_everything(f):
-    idx = np.sort(np.concatenate(f.groupby("g").group_indices()))
-    assert list(idx) == [0, 1, 2, 3, 4]
 
 
 def test_groupby_string_key(f):

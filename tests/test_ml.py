@@ -15,19 +15,22 @@ from repro.ml import (
     LinearRegression,
     MLPRegressor,
     QuantileGradientBoosting,
-    Ridge,
     StandardScaler,
     TobitRegressor,
-    mae,
-    mse,
     prediction_accuracy,
-    r2_score,
-    train_test_split,
     underestimation_rate,
 )
 from repro.ml.tree import _presort
 
 RNG = lambda s=0: np.random.default_rng(s)
+
+
+def mse(y, pred):
+    return float(np.mean((y - pred) ** 2))
+
+
+def r2_score(y, pred):
+    return 1.0 - float(np.sum((y - pred) ** 2)) / float(np.sum((y - y.mean()) ** 2))
 
 
 def linear_data(n=400, d=3, noise=0.1, seed=0):
@@ -65,26 +68,6 @@ class TestLinear:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             LinearRegression().fit(np.array([[np.nan]]), np.array([1.0]))
-
-
-class TestRidge:
-    def test_alpha_zero_matches_ols(self):
-        X, y, _ = linear_data()
-        ols = LinearRegression().fit(X, y)
-        ridge = Ridge(alpha=0.0).fit(X, y)
-        assert np.allclose(ridge.coef_, ols.coef_, atol=1e-8)
-
-    def test_shrinkage_monotone(self):
-        X, y, _ = linear_data()
-        norms = [
-            np.linalg.norm(Ridge(alpha=a).fit(X, y).coef_)
-            for a in (0.0, 10.0, 1000.0)
-        ]
-        assert norms[0] > norms[1] > norms[2]
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            Ridge(alpha=-1.0)
 
 
 class TestTree:
@@ -284,11 +267,6 @@ class TestPreprocess:
         assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-10)
         assert np.allclose(Z.std(axis=0), 1.0, atol=1e-10)
 
-    def test_scaler_roundtrip(self):
-        X = RNG().normal(size=(100, 3))
-        sc = StandardScaler().fit(X)
-        assert np.allclose(sc.inverse_transform(sc.transform(X)), X)
-
     def test_scaler_constant_column(self):
         X = np.ones((10, 1))
         Z = StandardScaler().fit_transform(X)
@@ -298,43 +276,8 @@ class TestPreprocess:
         with pytest.raises(RuntimeError):
             StandardScaler().transform(np.zeros((1, 1)))
 
-    def test_split_sizes(self):
-        a = np.arange(100)
-        tr, te = train_test_split(a, test_fraction=0.2, rng=RNG())
-        assert len(tr) == 80 and len(te) == 20
-        assert sorted(np.concatenate([tr, te])) == list(range(100))
-
-    def test_split_chronological(self):
-        a = np.arange(10)
-        tr, te = train_test_split(a, test_fraction=0.3, shuffle=False)
-        assert list(tr) == list(range(7))
-        assert list(te) == [7, 8, 9]
-
-    def test_split_multiple_arrays_aligned(self):
-        a = np.arange(50)
-        b = a * 2
-        a_tr, a_te, b_tr, b_te = train_test_split(a, b, rng=RNG())
-        assert np.all(b_tr == 2 * a_tr) and np.all(b_te == 2 * a_te)
-
-    def test_split_validation(self):
-        with pytest.raises(ValueError):
-            train_test_split(np.arange(5), np.arange(6))
-        with pytest.raises(ValueError):
-            train_test_split(np.arange(5), test_fraction=1.5)
-
 
 class TestMetrics:
-    def test_mse_mae(self):
-        y = np.array([1.0, 2.0])
-        p = np.array([2.0, 0.0])
-        assert mse(y, p) == pytest.approx(2.5)
-        assert mae(y, p) == pytest.approx(1.5)
-
-    def test_r2_perfect_and_mean(self):
-        y = np.array([1.0, 2.0, 3.0])
-        assert r2_score(y, y) == 1.0
-        assert r2_score(y, np.full(3, 2.0)) == 0.0
-
     def test_prediction_accuracy_symmetric(self):
         y = np.array([100.0])
         assert prediction_accuracy(y, np.array([50.0]))[0] == 0.5

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml import (
-    KNeighborsRegressor,
-    QuantileGradientBoosting,
-    pinball_loss,
-)
+from repro.ml import KNeighborsRegressor, QuantileGradientBoosting
 
 RNG = lambda s=0: np.random.default_rng(s)
 
@@ -74,12 +70,6 @@ class TestQuantileBoosting:
         p50 = QuantileGradientBoosting(q=0.5, n_estimators=40).fit(X, y).predict(X)
         p90 = QuantileGradientBoosting(q=0.9, n_estimators=40).fit(X, y).predict(X)
         assert p90.mean() > p50.mean()
-
-    def test_pinball_loss_asymmetry(self):
-        y = np.array([10.0])
-        over = pinball_loss(y, np.array([12.0]), q=0.9)
-        under = pinball_loss(y, np.array([8.0]), q=0.9)
-        assert under > over  # q=0.9 punishes underestimates 9x harder
 
     def test_invalid_q(self):
         with pytest.raises(ValueError):

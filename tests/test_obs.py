@@ -215,15 +215,6 @@ class TestMetrics:
         with pytest.raises(ValueError):
             Histogram("h", bounds=(1.0, 1.0))
 
-    def test_histogram_quantile(self):
-        h = Histogram("h", bounds=(1.0, 10.0, 100.0))
-        for _ in range(9):
-            h.observe(5.0)
-        h.observe(5000.0)
-        assert h.approx_quantile(0.5) == 10.0
-        assert h.approx_quantile(1.0) == 5000.0
-        assert math.isnan(Histogram("e").approx_quantile(0.5))
-
     def test_default_buckets_log_spaced(self):
         assert DEFAULT_BUCKETS[0] == pytest.approx(1e-3)
         ratios = [b2 / b1 for b1, b2 in zip(DEFAULT_BUCKETS, DEFAULT_BUCKETS[1:])]
@@ -320,29 +311,6 @@ class TestMetrics:
         text = m.to_prometheus()
         assert 'x_bucket{le="+Inf"} 2' in text
         assert "x_sum +Inf" in text
-
-    def test_approx_quantile_edge_cases(self):
-        empty = Histogram("e", bounds=(1.0, 10.0))
-        assert math.isnan(empty.approx_quantile(0.0))
-        assert math.isnan(empty.approx_quantile(1.0))
-
-        single = Histogram("s", bounds=(1.0, 10.0))
-        single.observe(5.0)
-        # one observation: every quantile lands in its bucket
-        assert single.approx_quantile(0.0) == 10.0
-        assert single.approx_quantile(0.5) == 10.0
-        assert single.approx_quantile(1.0) == 10.0
-
-        h = Histogram("h", bounds=(1.0, 10.0))
-        h.observe(0.5)
-        h.observe(5000.0)  # overflow bucket: estimate falls back to max
-        assert h.approx_quantile(0.0) == 1.0
-        assert h.approx_quantile(1.0) == 5000.0
-
-        with pytest.raises(ValueError):
-            h.approx_quantile(-0.1)
-        with pytest.raises(ValueError):
-            h.approx_quantile(1.1)
 
 
 # ------------------------------------------------------------------ profiling

@@ -26,11 +26,9 @@ from repro.obs import (
     PerfConfig,
     Profiler,
     SamplingProfiler,
-    SweepTrace,
     collapse_spans,
     collapse_stacks,
     format_collapsed,
-    merge_metric_payloads,
     perf_gate,
 )
 from repro.runner import ResultCache, RetryPolicy, SimTask, run_sweep
@@ -355,7 +353,7 @@ class TestSweepAggregation:
         ]
         retries = [e for e in perf.trace.events if e["kind"] == "retry"]
         assert retries and all(e["args"]["attempt"] >= 1 for e in retries)
-        names = {e["name"] for e in perf.trace.to_chrome()["traceEvents"]
+        names = {e["name"] for e in perf.trace.to_exporter().to_dict()["traceEvents"]
                  if e["ph"] == "i"}
         assert "retry" in names
 
@@ -394,9 +392,7 @@ class TestSweepAggregation:
         (cell,) = perf.trace.cells
         assert "sampler" in cell
         assert cell["metrics"]["counters"]
-        merged = perf.trace.merged_metrics()
-        assert merged["n_merged"] == 1
-        assert merged["counters"]["sim_jobs_started_total"] == 200
+        assert cell["metrics"]["counters"]["sim_jobs_started_total"] == 200
 
 
 class TestPerfGate:
@@ -445,27 +441,37 @@ class TestPerfGate:
         assert entry["runs"] == 4
         assert not entry["regressed"]
 
+    def test_per_call_median_gated_where_rows_carry_it(self):
+        # Fig 11's ledger shape: the calibrated test duration grew 1.73x
+        # over its baseline while one call's median grew 1.17x
+        records = self.history([1.0, 0.95, 1.07, 1.09, 1.35])
+        records.append(
+            {"bench": "b", "wall_seconds": 1.82, "median_s": 0.0137, "status": "ok"}
+        )
+        records.append(
+            {"bench": "b", "wall_seconds": 1.88, "median_s": 0.0160, "status": "ok"}
+        )
+        # no earlier row carries median_s: the wall time is all there is
+        (entry,) = perf_gate(records[:-2] + records[-1:], "bench", regression_factor=1.6)
+        assert entry["field"] == "wall_seconds" and entry["regressed"]
+        (entry,) = perf_gate(records, "bench", regression_factor=1.6)
+        assert entry["field"] == "median_s"
+        assert entry["value"] == 0.0160 and entry["baseline"] == 0.0137
+        assert entry["runs"] == 2 and entry["n_baseline"] == 1
+        assert not entry["regressed"]
+
+    def test_wall_seconds_gated_without_per_call_median(self):
+        records = self.history([1.0, 1.0, 1.0])
+        records.insert(1, {"bench": "b", "wall_seconds": 1.0, "median_s": 0.01})
+        (entry,) = perf_gate(records + self.history([3.0]), "bench")
+        assert entry["field"] == "wall_seconds" and entry["regressed"]
+        # another gated field never reads median_s
+        rows = [{"bench": "b", "cpu": 1.0, "median_s": 0.01}] * 2
+        (entry,) = perf_gate(rows, "bench", value_field="cpu")
+        assert entry["field"] == "cpu" and entry["ratio"] == 1.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             perf_gate([], "bench", window=0)
         with pytest.raises(ValueError):
             perf_gate([], "bench", regression_factor=1.0)
-
-
-class TestMetricMerge:
-    def test_counters_sum_and_histograms_merge(self):
-        from repro.obs import Metrics
-
-        payloads = []
-        for k in (1, 2):
-            m = Metrics()
-            m.counter("jobs", "d").inc(k)
-            m.gauge("depth", "d").set(float(k))
-            h = m.histogram("wait", "d")
-            h.observe(1.0)
-            payloads.append(json.loads(m.to_json(indent=None)))
-        merged = merge_metric_payloads(payloads)
-        assert merged["n_merged"] == 2
-        assert merged["counters"]["jobs"] == 3
-        assert merged["gauges"]["depth"] == 2.0
-        assert sum(merged["histograms"]["wait"]["counts"]) == 2

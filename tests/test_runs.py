@@ -129,23 +129,6 @@ class TestRunRegistry:
         with pytest.raises(ValueError, match="line 2"):
             read_records(path)
 
-    def test_run_record_round_trip(self):
-        rec = RunRecord(**record(wall=2.5, worker="w1", seq=4))
-        assert RunRecord.from_dict(rec.to_dict()) == rec
-
-    def test_run_record_status_round_trip(self):
-        rec = RunRecord(**record(seq=1), status="failed:timeout", attempt=3)
-        clone = RunRecord.from_dict(rec.to_dict())
-        assert clone.status == "failed:timeout"
-        assert clone.attempt == 3
-
-    def test_old_records_default_status_ok(self):
-        # registries written before the crash-safe runner lack the
-        # status/attempt keys; from_dict must fall back to the defaults
-        rec = RunRecord.from_dict(record(seq=2))
-        assert rec.status == "ok"
-        assert rec.attempt == 1
-
     def test_torn_tail_truncated_on_reopen(self, tmp_path):
         path = tmp_path / "runs.jsonl"
         with RunRegistry(path) as reg:

@@ -72,7 +72,7 @@ class TestNodeCluster:
         c = NodeCluster(n_nodes=2, gpus_per_node=8)
         assert c.can_place(8)
         c.place(0, 5)
-        assert c.total_free == 11
+        assert c.free_per_node.sum() == 11
         assert c.can_place(8)  # the second node is still empty
         c.place(1, 8)
         assert not c.can_place(4)  # 3 free on node 0 only
@@ -83,7 +83,7 @@ class TestNodeCluster:
         c.place(0, 5)
         c.place(1, 5)
         # 6 GPUs free in total but max 3 contiguous -> a 4-GPU job can't run
-        assert c.total_free == 6
+        assert c.free_per_node.sum() == 6
         assert not c.can_place(4)
 
     def test_large_job_needs_empty_nodes(self):

@@ -76,6 +76,23 @@ def test_cli_import_does_not_load_scipy():
     assert _under(loaded, ["scipy"]) == []
 
 
+def test_cli_help_loads_no_engine_or_model():
+    # ``python -m repro.cli --help``: each subcommand imports the stacks it
+    # runs, so parsing the arguments loads none of them
+    loaded = _loaded_after(
+        "import runpy\n"
+        "sys.argv = ['repro.cli', '--help']\n"
+        "try:\n"
+        "    runpy.run_module('repro.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+    )
+    assert "repro.runner.options" in loaded  # the CLI module ran
+    assert _under(
+        loaded, ["repro.sched", "repro.obs", "repro.predict", "repro.ml", "scipy"]
+    ) == []
+
+
 def test_experiments_list_imports_no_experiment():
     out = _run(
         "import sys\n"

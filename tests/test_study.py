@@ -37,11 +37,9 @@ def test_every_figure_method_runs(study):
     assert len(study.waiting()) == 5
     assert len(study.waiting_by_class()) == 5
     assert len(study.failures()) == 5
-    assert len(study.failures_by_class()) == 5
     assert len(study.repetition()) == 5
     assert len(study.size_vs_queue()) == 5
     assert len(study.runtime_vs_queue()) == 5
-    assert len(study.user_status_profiles(n_users=2)) == 5
 
 
 def test_takeaways_mostly_hold_at_test_scale(study):

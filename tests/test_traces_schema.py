@@ -16,7 +16,6 @@ from repro.traces import (
     THETA,
     JobStatus,
     Trace,
-    get_system,
     length_class,
     minimal_runtime_mask,
     minimal_size_mask,
@@ -66,10 +65,6 @@ class TestTrace:
         tr = make_trace()
         assert tr.filter(tr["cores"] > 512).num_jobs == 2
         assert tr.window(0, 15).num_jobs == 2
-
-    def test_status_mask(self):
-        tr = make_trace(status=[0, 1, 2])
-        assert tr.status_mask(JobStatus.FAILED).sum() == 1
 
     def test_sorted_by_submit(self):
         tr = Trace(
@@ -168,15 +163,6 @@ class TestSystems:
         excluded = [s for s in ALL_SYSTEMS if not s.selected]
         assert len(excluded) == 4
         assert all(s.exclusion_reason for s in excluded)
-
-    def test_lookup_aliases(self):
-        assert get_system("blue waters") is BLUE_WATERS
-        assert get_system("bw") is BLUE_WATERS
-        assert get_system("MIRA") is MIRA
-
-    def test_lookup_unknown(self):
-        with pytest.raises(KeyError):
-            get_system("frontier")
 
     def test_schedulable_units(self):
         assert MIRA.schedulable_units == 786_432
