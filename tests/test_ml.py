@@ -315,7 +315,8 @@ def _ml_fits() -> dict:
     Tied integer columns exercise the stable tie order of the split
     search; subsampling plus early stopping exercise the row-subset and
     held-out paths of the boosting fit; the Tobit cases span no, partial
-    and total censoring.
+    and total censoring; the MLP cases are Fig 12's network on both
+    feature kinds.
     """
     rng = RNG(17)
     n = 300
@@ -341,6 +342,9 @@ def _ml_fits() -> dict:
         out[f"quantile/{name}"] = qgb.predict(X).tolist()
         tree = DecisionTreeRegressor(max_depth=8, min_samples_leaf=1).fit(X, y)
         out[f"tree/{name}"] = tree.predict(X).tolist()
+        # the configuration Fig 12 fits
+        mlp = MLPRegressor(hidden=(32, 16), epochs=30, random_state=0).fit(X, y)
+        out[f"mlp/{name}"] = mlp.predict(X).tolist()
     X, y, _ = linear_data(n=400, noise=0.5, seed=11)
     for pct in (0, 30, 100):
         cap = np.quantile(y, 1.0 - pct / 100.0)
@@ -355,7 +359,8 @@ def _ml_fits() -> dict:
 
 
 def test_ml_fits_match_golden():
-    """Boosting, quantile boosting, tree and Tobit fits are frozen exactly.
+    """Boosting, quantile boosting, tree, MLP and Tobit fits are frozen
+    exactly.
 
     Regenerate with ``REPRO_UPDATE_GOLDENS=1`` only for an intended
     change to the models' arithmetic (docs/TESTING.md).
@@ -365,3 +370,36 @@ def test_ml_fits_match_golden():
         ML_GOLDEN.write_text(got)
         pytest.skip(f"regenerated {ML_GOLDEN}")
     assert got == ML_GOLDEN.read_text()
+
+
+#: (L-BFGS iterations, gradient evaluations) of the golden Tobit fits
+TOBIT_GOLDEN_STEPS = {0: (1, 4), 30: (9, 10), 100: (1, 9)}
+
+
+def test_tobit_golden_fits_keep_their_steps(monkeypatch):
+    """The golden Tobit fits take the same optimizer path: the same number
+    of L-BFGS iterations and of gradient evaluations.
+
+    Each gradient evaluation is d + 1 likelihood evaluations at the
+    d-parameter point (the point and one forward step per coordinate), so
+    the fits stay far below L-BFGS-B's default ``maxfun`` of 15,000 however
+    scipy counts them.
+    """
+    import scipy.optimize
+
+    results = []
+    minimize = scipy.optimize.minimize
+
+    def recording_minimize(*args, **kwargs):
+        results.append(minimize(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(scipy.optimize, "minimize", recording_minimize)
+    X, y, _ = linear_data(n=400, noise=0.5, seed=11)
+    for pct, steps in TOBIT_GOLDEN_STEPS.items():
+        cap = np.quantile(y, 1.0 - pct / 100.0)
+        censored = y >= cap if pct else np.zeros(len(y), dtype=bool)
+        TobitRegressor().fit(X, np.minimum(y, cap), censored=censored)
+        result = results[-1]
+        assert (result.nit, result.njev) == steps
+        assert result.njev * (len(result.x) + 1) < 15_000 // 100
