@@ -83,9 +83,14 @@ class GradientBoostingRegressor:
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
             )
-            tree._fit_presorted(X, residual, order, rows)
+            if rows is None:
+                # the tree's leaves fill in its predictions on X as it grows
+                stage = np.empty(len(y))
+                tree._fit_presorted(X, residual, order, fitted=stage)
+            else:
+                stage = tree._fit_presorted(X, residual, order, rows).predict(X)
             self.trees_.append(tree)
-            pred = pred + self.learning_rate * tree.predict(X)
+            pred = pred + self.learning_rate * stage
 
             if val_pred is not None:
                 val_pred = val_pred + self.learning_rate * tree.predict(X_val)

@@ -4,6 +4,14 @@ A compact fully-connected network (ReLU hidden layers, linear output,
 squared loss) with mini-batch Adam — the paper's MLP comparator [16] for
 Fig 12.  Inputs/targets are standardized internally so callers can pass raw
 features.
+
+Every weight matrix and bias vector is a view into one flat float64
+parameter buffer, and backprop writes each gradient into the matching
+view of a second buffer, so one Adam step is a dozen elementwise
+operations over the whole buffer rather than per tensor.  Each operation
+is elementwise, or the same matmul or row sum as on separate tensors, so
+the trained network is the same bit for bit (docs/PERFORMANCE.md, "Fig
+12's models").
 """
 
 from __future__ import annotations
@@ -14,6 +22,21 @@ from .base import check_X, check_Xy
 from .preprocess import StandardScaler
 
 __all__ = ["MLPRegressor"]
+
+
+def _layer_views(
+    buffer: np.ndarray, sizes: list[int]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each layer's weight matrix and bias vector of a network with layer
+    widths ``sizes``, as views into the flat ``buffer``: layer by layer,
+    weights before biases."""
+    weights, biases = [], []
+    at = 0
+    for a, b in zip(sizes, sizes[1:]):
+        weights.append(buffer[at : at + a * b].reshape(a, b))
+        biases.append(buffer[at + a * b : at + a * b + b])
+        at += a * b + b
+    return weights, biases
 
 
 class MLPRegressor:
@@ -36,6 +59,7 @@ class MLPRegressor:
         self.learning_rate = learning_rate
         self.l2 = l2
         self.random_state = random_state
+        self._params = np.empty(0)
         self._weights: list[np.ndarray] = []
         self._biases: list[np.ndarray] = []
         self._x_scaler = StandardScaler()
@@ -43,13 +67,12 @@ class MLPRegressor:
         self._y_scale = 1.0
 
     # ------------------------------------------------------------------
-    def _init_params(self, n_in: int, rng: np.random.Generator) -> None:
-        sizes = [n_in, *self.hidden, 1]
-        self._weights, self._biases = [], []
-        for a, b in zip(sizes[:-1], sizes[1:]):
+    def _init_params(self, sizes: list[int], rng: np.random.Generator) -> None:
+        self._params = np.zeros(sum(a * b + b for a, b in zip(sizes, sizes[1:])))
+        self._weights, self._biases = _layer_views(self._params, sizes)
+        for W, a in zip(self._weights, sizes):
             # He initialization for ReLU layers
-            self._weights.append(rng.normal(0.0, np.sqrt(2.0 / a), size=(a, b)))
-            self._biases.append(np.zeros(b))
+            W[...] = rng.normal(0.0, np.sqrt(2.0 / a), size=W.shape)
 
     def _forward(self, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         acts = [X]
@@ -78,11 +101,13 @@ class MLPRegressor:
         ys = (y - self._y_mean) / self._y_scale
 
         n = len(ys)
-        self._init_params(Xs.shape[1], rng)
-        m = [np.zeros_like(w) for w in self._weights]
-        v = [np.zeros_like(w) for w in self._weights]
-        mb = [np.zeros_like(b) for b in self._biases]
-        vb = [np.zeros_like(b) for b in self._biases]
+        sizes = [Xs.shape[1], *self.hidden, 1]
+        self._init_params(sizes, rng)
+        params = self._params
+        grads = np.empty_like(params)
+        grads_w, grads_b = _layer_views(grads, sizes)
+        m = np.zeros_like(params)
+        v = np.zeros_like(params)
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         t = 0
 
@@ -95,34 +120,24 @@ class MLPRegressor:
                 pred, acts = self._forward(xb)
                 # backprop of squared loss
                 delta = (2.0 / len(idx)) * (pred - yb)[:, None]
-                grads_w: list[np.ndarray] = [None] * len(self._weights)
-                grads_b: list[np.ndarray] = [None] * len(self._biases)
                 for layer in range(len(self._weights) - 1, -1, -1):
-                    grads_w[layer] = (
+                    grads_w[layer][...] = (
                         acts[layer].T @ delta + self.l2 * self._weights[layer]
                     )
-                    grads_b[layer] = delta.sum(axis=0)
+                    grads_b[layer][...] = delta.sum(axis=0)
                     if layer > 0:
                         delta = delta @ self._weights[layer].T
                         delta = delta * (acts[layer] > 0)
                 t += 1
                 corr1 = 1 - beta1**t
                 corr2 = 1 - beta2**t
-                for layer in range(len(self._weights)):
-                    m[layer] = beta1 * m[layer] + (1 - beta1) * grads_w[layer]
-                    v[layer] = beta2 * v[layer] + (1 - beta2) * grads_w[layer] ** 2
-                    mb[layer] = beta1 * mb[layer] + (1 - beta1) * grads_b[layer]
-                    vb[layer] = beta2 * vb[layer] + (1 - beta2) * grads_b[layer] ** 2
-                    self._weights[layer] -= (
-                        self.learning_rate
-                        * (m[layer] / corr1)
-                        / (np.sqrt(v[layer] / corr2) + eps)
-                    )
-                    self._biases[layer] -= (
-                        self.learning_rate
-                        * (mb[layer] / corr1)
-                        / (np.sqrt(vb[layer] / corr2) + eps)
-                    )
+                m *= beta1
+                m += (1 - beta1) * grads
+                v *= beta2
+                v += (1 - beta2) * grads**2
+                params -= (
+                    self.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + eps)
+                )
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:

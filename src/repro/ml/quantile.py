@@ -58,9 +58,11 @@ class QuantileGradientBoosting:
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
             )
-            tree._fit_presorted(X, residual_sign, order)
+            # the tree's leaves fill in its predictions on X as it grows
+            stage = np.empty(len(y))
+            tree._fit_presorted(X, residual_sign, order, fitted=stage)
             self.trees_.append(tree)
-            pred = pred + self.learning_rate * tree.predict(X)
+            pred = pred + self.learning_rate * stage
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:

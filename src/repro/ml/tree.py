@@ -3,16 +3,21 @@
 Each feature column is argsorted once per fit (stable, so ties keep row
 order), the way XGBoost's exact greedy split finder keeps presorted
 column blocks.  A node holds its rows' per-feature sorted indices as a
-``(d, n)`` array; a split hands each child its share through a stable
-boolean partition of that array, so no node sorts anything.  The split
-search scores every candidate threshold of every feature in one 2-D pass
+``(d, n)`` array, and next to it the feature values in that order; a
+split hands each child its share of both through one stable boolean
+partition, so no node sorts or gathers feature values.  The split search
+scores every candidate threshold of every feature in one 2-D pass
 (prefix sums along axis 1, then a per-feature argmin), following the
 HPC-Python guidance of no per-element Python loops in hot paths.
 
 A stable sort restricted to a subset of rows is the stable sort of that
-subset, so a node's sorted indices -- and every prefix sum, threshold
-and tree built from them -- are exactly what sorting the node's rows
-afresh would give (docs/PERFORMANCE.md, "Fig 12's models").
+subset, so a node's sorted indices and values -- and every prefix sum,
+threshold and tree built from them -- are exactly what sorting the
+node's rows afresh would give.  Growing on all of ``X``'s rows also
+writes each leaf's value into those rows as it goes: the same rows
+:meth:`DecisionTreeRegressor.predict` routes to the leaf, by the same
+comparisons, so boosting reads its stage predictions on the training
+matrix from there (docs/PERFORMANCE.md, "Fig 12's models").
 """
 
 from __future__ import annotations
@@ -44,31 +49,35 @@ def _presort(X: np.ndarray) -> np.ndarray:
     return np.argsort(X.T, axis=1, kind="stable")
 
 
-def _partition(order: np.ndarray, keep: np.ndarray, n: int) -> np.ndarray:
-    """The ``n`` entries per feature of presorted ``order`` where the
-    ``(d, m)`` mask ``keep`` holds, each feature's in sorted order (a
-    stable partition)."""
-    return order[keep].reshape(len(order), n)
+def _partition(
+    order: np.ndarray, xs: np.ndarray, keep: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n`` entries per feature of presorted ``order`` and of its
+    sorted values ``xs`` where the ``(d, m)`` mask ``keep`` holds, each
+    feature's in sorted order (a stable partition)."""
+    d = len(order)
+    return order[keep].reshape(d, n), xs[keep].reshape(d, n)
 
 
 def _best_split(
-    XT: np.ndarray,
     y: np.ndarray,
     y_node: np.ndarray,
+    total_sum: np.float64,
     order: np.ndarray,
+    xs: np.ndarray,
     min_leaf: int,
 ) -> tuple[int, float, float] | None:
     """Return ``(feature, threshold, sse_gain)`` of the best split, or None.
 
-    ``XT`` is the fit's feature-major matrix and ``y`` its targets;
-    ``y_node`` holds the node's targets in row order and ``order`` its
-    rows' per-feature sorted indices.  Candidate splits between
+    ``y`` holds the fit's targets and ``y_node`` the node's, in row order,
+    which sum to ``total_sum``; ``order`` holds the node's per-feature
+    sorted row indices and ``xs`` the feature values in that order.
+    Candidate splits between
     consecutive distinct values of every feature are scored at once by
     the SSE reduction computed from prefix sums; the feature kept is the
     first one with the largest gain.
     """
     n = len(y_node)
-    total_sum = y_node.sum()
     total_sq = float(y_node @ y_node)
     base_sse = total_sq - total_sum**2 / n
     # split after position i (1-based left size): valid i in [min_leaf, n-min_leaf]
@@ -77,7 +86,6 @@ def _best_split(
         return None
     last_left = slice(min_leaf - 1, n - min_leaf)
     first_right = slice(min_leaf, n - min_leaf + 1)
-    xs = np.take_along_axis(XT, order, axis=1)
     ys = y[order]
     csum = np.cumsum(ys, axis=1)
     csq = np.cumsum(ys * ys, axis=1)
@@ -138,50 +146,71 @@ class DecisionTreeRegressor:
         y: np.ndarray,
         order: np.ndarray,
         rows: np.ndarray | None = None,
+        fitted: np.ndarray | None = None,
     ) -> "DecisionTreeRegressor":
         """Grow on checked ``X, y`` given their presort ``order``.
 
         ``rows``, a boolean mask, restricts the fit to a subset of rows:
         the tree is the one ``fit(X[rows], y[rows])`` grows.  Boosting
         presorts once per fit and grows every stage's tree through here.
+        ``fitted``, an array of ``len(y)``, receives each leaf's value in
+        the leaf's training rows: without ``rows`` it ends as
+        ``predict(X)``.
         """
         self._n_features = X.shape[1]
+        XT = np.ascontiguousarray(X.T)
+        xs = np.take_along_axis(XT, order, axis=1)
         if rows is None:
             index = np.arange(len(y))
         else:
             index = np.flatnonzero(rows)
-            order = _partition(order, rows[order], len(index))
-        self._root = self._grow(
-            np.ascontiguousarray(X.T), y, index, order, depth=0
-        )
+            order, xs = _partition(order, xs, rows[order], len(index))
+        self._root = self._grow(XT, y, index, order, xs, fitted, depth=0)
         return self
+
+    def _splits(self, n: int, depth: int) -> bool:
+        """Whether a node of ``n`` rows at ``depth`` may split."""
+        return depth < self.max_depth and n >= 2 * self.min_samples_leaf
 
     def _grow(
         self,
         XT: np.ndarray,
         y: np.ndarray,
         index: np.ndarray,
-        order: np.ndarray,
+        order: np.ndarray | None,
+        xs: np.ndarray | None,
+        fitted: np.ndarray | None,
         depth: int,
     ) -> _Node:
+        """Grow the subtree of the rows ``index``; ``order`` and ``xs`` are
+        None where :meth:`_splits` already makes the node a leaf."""
         y_node = y[index]
-        node = _Node(value=float(y_node.mean()))
-        if depth >= self.max_depth or len(y_node) < 2 * self.min_samples_leaf:
-            return node
-        split = _best_split(XT, y, y_node, order, self.min_samples_leaf)
+        total = y_node.sum()
+        # ``y_node.mean()`` is this sum divided by the count
+        node = _Node(value=float(total / len(y_node)))
+        split = None
+        if self._splits(len(y_node), depth):
+            split = _best_split(y, y_node, total, order, xs, self.min_samples_leaf)
         if split is None or split[2] <= self.min_gain:
+            if fitted is not None:
+                fitted[index] = node.value
             return node
         f, thr, _gain = split
+        node.feature, node.threshold = f, thr
         mask = XT[f, index] <= thr
         left, right = index[mask], index[~mask]
-        goes_left = XT[f, order] <= thr
-        node.feature, node.threshold = f, thr
-        node.left = self._grow(
-            XT, y, left, _partition(order, goes_left, len(left)), depth + 1
-        )
-        node.right = self._grow(
-            XT, y, right, _partition(order, ~goes_left, len(right)), depth + 1
-        )
+        # only a child that may split needs its share of the presort
+        grow_left = self._splits(len(left), depth + 1)
+        grow_right = self._splits(len(right), depth + 1)
+        sorted_left = sorted_right = (None, None)
+        if grow_left or grow_right:
+            goes_left = XT[f, order] <= thr
+            if grow_left:
+                sorted_left = _partition(order, xs, goes_left, len(left))
+            if grow_right:
+                sorted_right = _partition(order, xs, ~goes_left, len(right))
+        node.left = self._grow(XT, y, left, *sorted_left, fitted, depth + 1)
+        node.right = self._grow(XT, y, right, *sorted_right, fitted, depth + 1)
         return node
 
     def predict(self, X: np.ndarray) -> np.ndarray:

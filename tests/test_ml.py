@@ -138,6 +138,30 @@ class TestTree:
         assert grown.predict(probe).tobytes() == fitted.predict(probe).tobytes()
         assert (grown.depth, grown.n_leaves) == (fitted.depth, fitted.n_leaves)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        depth=st.integers(1, 8),
+        min_leaf=st.integers(1, 8),
+        columns=st.sampled_from(["tied", "continuous"]),
+    )
+    def test_leaf_filled_fit_is_predict(self, seed, depth, min_leaf, columns):
+        """Growing on all rows writes each leaf's value into its training
+        rows; the result is ``predict`` on the training matrix, bitwise."""
+        rng = RNG(seed)
+        n = 150
+        X = (
+            rng.integers(0, 5, size=(n, 3)).astype(float)
+            if columns == "tied"
+            else rng.normal(size=(n, 3))
+        )
+        y = X[:, 0] * X[:, 1] + rng.normal(size=n)
+        fitted = np.full(n, np.nan)
+        tree = DecisionTreeRegressor(
+            max_depth=depth, min_samples_leaf=min_leaf
+        )._fit_presorted(X, y, _presort(X), fitted=fitted)
+        assert fitted.tobytes() == tree.predict(X).tobytes()
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             DecisionTreeRegressor(max_depth=0)
@@ -198,6 +222,22 @@ class TestMLP:
         with pytest.raises(ValueError):
             MLPRegressor(hidden=())
 
+    def test_layers_are_views_of_one_buffer(self):
+        """Weights and biases live in one flat buffer, and ``predict`` reads
+        them exactly as it would read separate arrays."""
+        X, y, _ = linear_data(n=300)
+        m = MLPRegressor(hidden=(32, 16), epochs=3, random_state=0).fit(X, y)
+        layers = m._weights + m._biases
+        assert all(np.shares_memory(p, m._params) for p in layers)
+        assert sum(p.size for p in layers) == m._params.size
+        pred = m.predict(X)
+        copy = MLPRegressor(hidden=(32, 16))
+        copy.__dict__.update(m.__dict__)
+        copy._weights = [W.copy() for W in m._weights]
+        copy._biases = [b.copy() for b in m._biases]
+        assert copy.predict(X).tobytes() == pred.tobytes()
+        assert m.predict(X).tobytes() == pred.tobytes()
+
 
 class TestTobit:
     def test_uncensored_matches_ols(self):
@@ -242,6 +282,57 @@ class TestTobit:
         for q in (0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.999):
             expected = tob.predict(X) + tob.sigma_ * norm.ppf(q)
             assert np.array_equal(tob.predict_quantile(X, q), expected), q
+
+    @pytest.mark.parametrize("pct", [0, 30, 100])
+    @pytest.mark.parametrize(
+        "point",
+        [
+            # zero coordinates step by +1e-8 (scipy's sign of 0 is +1)
+            [0.0, 0.0, 0.0, 0.0, 0.0],
+            # a log sigma beyond the +-20 clip, on both sides
+            [2.0, -1.0, 0.5, 3.0, 25.0],
+            [2.0, -1.0, 0.5, 3.0, -21.5],
+            # |x| > 2**27: x + 1e-8 == x, so scipy takes its relative step
+            [2.0, -3.0e8, 0.5, 4.0e9, 0.1],
+        ],
+    )
+    def test_gradient_is_scipys_forward_difference(self, pct, point):
+        """The in-module gradient is ``approx_fprime(x, f, 1e-8)`` bit for
+        bit, with ``f`` the likelihood written out one evaluation at a
+        time: the gradient L-BFGS-B computes when it is given none."""
+        from scipy.optimize import approx_fprime
+        from scipy.special import log_ndtr
+
+        from repro.ml.tobit import _NegLogLikelihood
+
+        X, y, _ = linear_data(n=400, noise=0.5, seed=11)
+        cap = np.quantile(y, 1.0 - pct / 100.0)
+        censored = y >= cap if pct else np.zeros(len(y), dtype=bool)
+        y = np.minimum(y, cap)
+        A = np.hstack([X, np.ones((len(y), 1))])
+
+        log_sqrt_2pi = np.log(np.sqrt(2 * np.pi))
+
+        def f(params):
+            log_s = np.clip(params[-1], -20.0, 20.0)
+            s = np.exp(log_s)
+            mu = A @ params[:-1]
+            ll = 0.0
+            if (~censored).any():
+                z = (y[~censored] - mu[~censored]) / s
+                ll += float(np.sum((-(z**2) / 2.0 - log_sqrt_2pi) - log_s))
+            if censored.any():
+                ll += float(np.sum(log_ndtr((mu[censored] - y[censored]) / s)))
+            return -ll
+
+        neg_ll = _NegLogLikelihood(A, y, censored)
+        x = np.array(point)
+        value, grad = neg_ll(x)
+        assert value == f(x)
+        assert grad.tobytes() == approx_fprime(x, f, 1e-8).tobytes()
+        if abs(x).max() > 2.0**27:
+            assert ((x + 1e-8) - x == 0).any()
+
 
 
 class TestMLPValidation:
