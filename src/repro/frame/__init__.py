@@ -1,7 +1,6 @@
 """Columnar dataframe substrate (NumPy-backed pandas replacement)."""
 
 from .frame import Frame
-from .groupby import GroupBy
 from .ops import (
     ViolinSummary,
     cross_shares,
@@ -14,7 +13,6 @@ from .ops import (
 
 __all__ = [
     "Frame",
-    "GroupBy",
     "ecdf_at",
     "hourly_counts",
     "share",

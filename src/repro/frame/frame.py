@@ -7,8 +7,8 @@ semantics allow it (column access) and copies where they do not (filtering,
 sorting).
 
 Only the relational operations the reproduction needs are implemented:
-selection, boolean filtering, stable multi-key sorting, hash group-by with
-vectorized aggregation, inner/left joins and quantiles.
+selection, boolean filtering, stable multi-key sorting, inner/left joins
+and quantiles.
 """
 
 from __future__ import annotations
@@ -162,13 +162,6 @@ class Frame:
         out._length = self._length
         return out
 
-    def rename(self, mapping: Mapping[str, str]) -> "Frame":
-        """Return a new Frame with columns renamed via ``mapping``."""
-        out = Frame()
-        out._data = {mapping.get(k, k): v for k, v in self._data.items()}
-        out._length = self._length
-        return out
-
     # ------------------------------------------------------------------
     # Row-level operations
     # ------------------------------------------------------------------
@@ -214,14 +207,6 @@ class Frame:
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
-    def groupby(self, keys: Sequence[str] | str) -> "GroupBy":
-        """Group rows by the given key columns."""
-        from .groupby import GroupBy
-
-        if isinstance(keys, str):
-            keys = [keys]
-        return GroupBy(self, list(keys))
-
     def quantile(self, name: str, q: float | Sequence[float]) -> np.ndarray | float:
         """Quantile(s) of a numeric column (linear interpolation).
 

@@ -317,15 +317,6 @@ class ColumnarRecorder:
             job = event.pop("job", -1)
             tracer.emit(kind, t, job, **event)
 
-    def to_jsonl(self, path: str | Path) -> int:
-        """Write the decoded stream as JSONL; returns the event count."""
-        n = 0
-        with open(path, "w", encoding="utf-8") as fh:
-            for event in self.to_events():
-                fh.write(json.dumps(event, separators=(",", ":")) + "\n")
-                n += 1
-        return n
-
     # -- persistence ---------------------------------------------------
 
     def save(self, path: str | Path | None = None) -> Path:

@@ -139,11 +139,3 @@ class RingBufferTracer(Tracer):
     def dropped(self) -> int:
         """Events evicted because the buffer was full."""
         return max(self.count - len(self._buffer), 0)
-
-    def to_jsonl(self, path: str | Path) -> Path:
-        """Dump the retained window as a JSONL file."""
-        path = Path(path)
-        with open(path, "w", encoding="utf-8") as fh:
-            for event in self._buffer:
-                fh.write(json.dumps(event, separators=(",", ":")) + "\n")
-        return path

@@ -69,6 +69,15 @@ BACKFILLS = {
 }
 
 
+def _write_jsonl(path: Path, events: list[dict]) -> None:
+    """The portable text form of a decoded stream: one compact JSON object
+    per event."""
+    path.write_text(
+        "".join(json.dumps(e, separators=(",", ":")) + "\n" for e in events),
+        encoding="utf-8",
+    )
+
+
 def _workload(n: int = 200, seed: int = 123) -> SimWorkload:
     """Seeded mid-size workload with enough pressure for reservations
     and backfills (integer-valued fields: fully deterministic)."""
@@ -363,7 +372,7 @@ class TestAnalyze:
         simulate_fast(wl, CAPACITY, "fcfs", EASY, tracer=rec)
         npz, jsonl = tmp_path / "t.npz", tmp_path / "t.jsonl"
         rec.save(npz)
-        rec.to_jsonl(jsonl)
+        _write_jsonl(jsonl, rec.to_events())
         assert load_events(npz) == load_events(jsonl) == rec.to_events()
 
 
@@ -448,7 +457,7 @@ def test_columnar_stream_golden(tmp_path):
     rec = ColumnarRecorder()
     simulate_fast(wl, CAPACITY, "sjf", EASY, tracer=rec)
     out = tmp_path / "stream.jsonl"
-    rec.to_jsonl(out)
+    _write_jsonl(out, rec.to_events())
     got = out.read_text()
     path = GOLDEN_DIR / "columnar_stream.jsonl"
     if _should_update():

@@ -83,10 +83,6 @@ class TestColumnOps:
         with pytest.raises(KeyError):
             small.drop(["nope"])
 
-    def test_rename(self, small):
-        f = small.rename({"a": "alpha"})
-        assert "alpha" in f and "a" not in f
-
     def test_apply(self, small):
         f = small.apply("b", lambda x: x * 2)
         assert f["b"][0] == 60.0

@@ -1,7 +1,6 @@
 """Property-based tests: Frame relational ops against brute-force oracles."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,33 +19,6 @@ def frames(draw):
             "v": np.array(draw(st.lists(floats, min_size=n, max_size=n))),
         }
     )
-
-
-class TestGroupByOracle:
-    @given(frames())
-    @settings(max_examples=60, deadline=None)
-    def test_sum_matches_bruteforce(self, f):
-        out = f.groupby("k").agg(s=("v", "sum"))
-        for i in range(out.num_rows):
-            k = out["k"][i]
-            assert out["s"][i] == pytest.approx(
-                float(f["v"][f["k"] == k].sum()), rel=1e-9, abs=1e-6
-            )
-
-    @given(frames())
-    @settings(max_examples=60, deadline=None)
-    def test_group_sizes_partition_rows(self, f):
-        gb = f.groupby("k")
-        assert gb.sizes().sum() == f.num_rows
-        assert len(gb.sizes()) == len(np.unique(f["k"]))
-
-    @given(frames())
-    @settings(max_examples=40, deadline=None)
-    def test_min_max_envelope(self, f):
-        out = f.groupby("k").agg(lo=("v", "min"), hi=("v", "max"))
-        assert np.all(out["lo"] <= out["hi"])
-        assert out["lo"].min() == f["v"].min()
-        assert out["hi"].max() == f["v"].max()
 
 
 class TestSortFilterOracle:

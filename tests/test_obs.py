@@ -148,13 +148,6 @@ class TestTracers:
         assert [r["kind"] for r in records] == ["run_start", "submit"]
         assert records[1] == {"kind": "submit", "t": 1.0, "job": 0, "cores": 2}
 
-    def test_ring_buffer_to_jsonl(self, tmp_path):
-        t = RingBufferTracer()
-        t.emit(ev.FINISH, 5.0, 2, cores=1, free=CAPACITY)
-        path = tmp_path / "dump.jsonl"
-        t.to_jsonl(path)
-        assert read_records(path) == t.events
-
     def test_close_flushes_non_owned_stream(self, tmp_path):
         """Regression: caller-supplied handles must be flushed on close.
 

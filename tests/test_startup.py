@@ -132,3 +132,15 @@ def test_runner_names_load_on_first_use():
         "print(before, missing, SweepStats.__module__)\n"
     )
     assert out.stdout.split() == ["False", "[]", "repro.runner.sweep"]
+
+
+def test_package_import_loads_no_characterization():
+    # ``import repro`` (every CLI command) loads ``repro.core`` only when a
+    # characterization name is first used
+    out = _run(
+        "import sys, repro\n"
+        "before = sorted(m for m in sys.modules if m.startswith('repro.core'))\n"
+        "from repro import CrossSystemStudy, evaluate_takeaways\n"
+        "print(before, CrossSystemStudy.__module__, evaluate_takeaways.__module__)\n"
+    )
+    assert out.stdout.split() == ["[]", "repro.core.study", "repro.core.takeaways"]
