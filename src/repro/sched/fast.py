@@ -378,6 +378,12 @@ def simulate_fast(
             return
         if fine:
             span = prof.span("backfill_scan").__enter__()
+        cr = cores[rest]
+        if cr.min() > free:
+            # every candidate is wider than the free cores: nothing starts
+            if fine:
+                span.__exit__(None, None, None)
+            return
         q0 = n_live  # the oracle defers pending deletes across the scan
         frac = backfill.relax_fraction(n_live, observed_max_q)
         limit = shadow + frac * max(shadow - submit_l[head], 0.0)
@@ -388,7 +394,6 @@ def simulate_fast(
         # ``continue``.  (`now + walltime <= limit` must stay in exactly
         # this form: the algebraically equal `walltime <= limit - now`
         # rounds differently)
-        cr = cores[rest]
         fits_w = now + walltime[rest] <= limit
         # scan candidates in ranked (first-fit) order.  The budgets
         # change only when a job starts, so between starts the next
@@ -562,8 +567,10 @@ def simulate_fast(
         ranked = arr[order]
         if fine:
             span.__exit__(None, None, None)
-        csum = np.cumsum(cores[ranked])
-        k = int(np.searchsorted(csum, free, side="right"))
+        if cores_l[ranked[0]] > free:
+            k = 0  # the head blocks: the usual round on a busy machine
+        else:
+            k = int(np.searchsorted(np.cumsum(cores[ranked]), free, side="right"))
         if k:
             if rec is None and not mets:
                 for j in ranked[:k].tolist():

@@ -10,18 +10,20 @@ from repro.sched import (
     NO_FAULTS,
     FaultConfig,
     SimWorkload,
+    relaxed,
     simulate,
     simulate_with_faults,
     workload_from_trace,
 )
-from repro.obs import RingBufferTracer
+from repro.obs import ColumnarRecorder, RingBufferTracer
 from repro.sched.faults import (
     ATTEMPT_COMPLETED,
     ATTEMPT_FAILED,
     ATTEMPT_NODE_KILLED,
     ATTEMPT_USER_KILLED,
 )
-from repro.testkit import oracle_simulate_with_faults
+from repro.testkit import oracle_simulate, oracle_simulate_with_faults
+from repro.testkit.fuzz import _FAULT_FIELDS
 from repro.traces.schema import JobStatus
 from repro.traces.synth import generate_trace
 
@@ -349,3 +351,103 @@ class TestResilienceMetrics:
         assert rm.effective_util == pytest.approx(1.0)
         payload = rm.as_dict()
         assert payload["n_jobs"] == 2
+
+
+class TestStaticQueueOrder:
+    """A resubmitted job re-enters the queue behind the jobs its
+    ``(score, submit)`` ties with: the rank-ordered queue of a static
+    policy has to reproduce that tie rule, through both its append path
+    and its merge path, exactly as the fault oracle specifies it."""
+
+    #: jobs 0-4 tie at (walltime 100, submit 0); job 5 arrives at 20 with
+    #: the same walltime, job 6 at 150 with a shorter one.  One core, so
+    #: every start is at its own instant; every first attempt fails and
+    #: retries almost at once, so a retried job re-enters while the jobs
+    #: it ties with still wait
+    SUBMIT = [0, 0, 0, 0, 0, 20, 150]
+    RUNTIME = [100, 100, 100, 100, 100, 100, 50]
+    CFG = FaultConfig(fail_prob=1.0, max_attempts=2, backoff_base=1e-3, seed=0)
+
+    #: (job, attempt) in start order
+    EXPECTED = {
+        # fcfs: each retry of a submit-0 job queues behind the other
+        # submit-0 jobs and ahead of job 5, which was queued before it
+        "fcfs": [
+            (0, 1), (1, 1), (2, 1), (3, 1), (4, 1),
+            (0, 2), (1, 2), (2, 2), (3, 2), (4, 2),
+            (5, 1), (6, 1), (5, 2), (6, 2),
+        ],
+        # sjf: the same, except that job 6 outranks everything when it
+        # arrives; job 5 ties the retries' walltime but not their submit
+        "sjf": [
+            (0, 1), (1, 1), (2, 1), (3, 1), (6, 1), (4, 1), (6, 2),
+            (0, 2), (1, 2), (2, 2), (3, 2), (4, 2), (5, 1), (5, 2),
+        ],
+    }
+
+    @pytest.mark.parametrize("policy", ["fcfs", "sjf"])
+    def test_retry_queues_behind_equal_keys(self, policy):
+        wl = make_workload(self.SUBMIT, [1] * 7, self.RUNTIME)
+        rec = ColumnarRecorder()
+        res = simulate_with_faults(wl, 1, policy, EASY, self.CFG, tracer=rec)
+        ref = oracle_simulate_with_faults(wl, 1, policy, EASY, self.CFG)
+        for name in _FAULT_FIELDS:
+            assert np.array_equal(
+                getattr(res, name), getattr(ref, name), equal_nan=True
+            ), name
+        assert res.to_dict() == ref.to_dict()
+
+        events = rec.to_events()
+        starts = [(e["job"], e["attempt"]) for e in events if e["kind"] == "start"]
+        assert starts == self.EXPECTED[policy]
+        # the stream's starts and attempt ends are the oracle's attempts
+        assert [
+            (e["t"], e["job"]) for e in events if e["kind"] == "start"
+        ] == sorted(zip(ref.attempt_start.tolist(), ref.attempt_job.tolist()))
+        assert [
+            (e["job"], e["outcome"]) for e in events if e["kind"] == "finish"
+        ] == [(j, "failed") for j in ref.attempt_job.tolist()]
+        assert all(ref.attempt_outcome == ATTEMPT_FAILED)
+
+
+class TestBackfillEarlyExit:
+    """A blocked round whose queued jobs are all wider than the free cores
+    backfills nothing; both engines skip the window scan then, and must
+    still match their oracles."""
+
+    # job 0 leaves 4 of 10 cores free and the 8-core head blocks; every
+    # job behind a blocked head needs more cores than are free
+    WL = dict(
+        submit=[0, 1, 2, 3, 4], cores=[6, 8, 5, 6, 6],
+        runtime=[100, 50, 30, 30, 30], walltime=[100, 50, 60, 60, 60],
+    )
+
+    @pytest.mark.parametrize("policy", ["fcfs", "wfp3"])
+    @pytest.mark.parametrize("backfill", [EASY, relaxed(0.5)], ids=["easy", "relaxed"])
+    def test_wide_queue_backfills_nothing(self, policy, backfill):
+        wl = make_workload(**self.WL)
+        rec = ColumnarRecorder()
+        res = simulate(wl, 10, policy, backfill, track_queue=True, tracer=rec)
+        ref = oracle_simulate(wl, 10, policy, backfill, track_queue=True)
+        for name in ("start", "promised", "backfilled", "queue_samples"):
+            assert np.array_equal(
+                getattr(res, name), getattr(ref, name), equal_nan=True
+            ), name
+        kinds = [e["kind"] for e in rec.to_events()]
+        assert "reservation" in kinds and "backfill" not in kinds
+        assert not res.backfilled.any()
+
+        cfg = FaultConfig(fail_prob=0.5, max_attempts=2, backoff_base=1.0, seed=4)
+        for faults in (NO_FAULTS, cfg):
+            fres = simulate_with_faults(
+                wl, 10, policy, backfill, faults, track_queue=True
+            )
+            fref = oracle_simulate_with_faults(
+                wl, 10, policy, backfill, faults, track_queue=True
+            )
+            for name in ("start", "end", "attempt_job", "attempt_start",
+                         "promised", "backfilled", "queue_samples"):
+                assert np.array_equal(
+                    getattr(fres, name), getattr(fref, name), equal_nan=True
+                ), name
+            assert not fres.backfilled.any()
