@@ -7,7 +7,8 @@ is pre-warmed here so benches measure analysis cost, not generation; the
 benches of memoized analyses clear the memo before each round.
 
 Opt-in perf trajectory: set ``BENCH_OUT`` to append one JSONL record per
-passing bench (nodeid, wall seconds, scale, ``code_version()``, and for
+passing bench (nodeid, wall seconds, scale, ``source_version()`` — a hash
+of every ``repro`` source file, so a row names all the code it timed — and for
 benches on the ``benchmark`` fixture the median and minimum seconds of one
 call and the number of rounds) — point it at a file, or at a directory to
 get ``<dir>/BENCH_history.jsonl``.  The
@@ -77,14 +78,14 @@ def pytest_runtest_logreport(report):
     if path is None:
         return
     from repro.obs import RunRegistry
-    from repro.runner import code_version
+    from repro.runner.cache import source_version
 
     record = {
         "bench": report.nodeid,
         "wall_seconds": float(report.duration),
         "days": BENCH_DAYS,
         "seed": BENCH_SEED,
-        "code": code_version(),
+        "code": source_version(),
         "ts": time.time(),
     }
     # record_property() values (e.g. the fast-engine speedup ratio) ride

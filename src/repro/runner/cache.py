@@ -32,7 +32,7 @@ import json
 import os
 from pathlib import Path
 
-__all__ = ["ResultCache", "code_version", "hash_u64", "stable_hash"]
+__all__ = ["ResultCache", "code_version", "hash_u64", "source_version", "stable_hash"]
 
 #: bump manually on semantic changes that source hashing cannot see
 #: (e.g. a NumPy version pin changing RNG streams)
@@ -92,6 +92,23 @@ def code_version() -> str:
 
 
 _CODE_VERSION: str | None = None
+
+
+def source_version(root: str | Path | None = None) -> str:
+    """Hash of every ``.py`` file of the ``repro`` package tree.
+
+    ``root`` defaults to the imported package's directory.  This stamps a
+    benchmark ledger row with all the code it timed, prediction and ML
+    included; :func:`code_version` stays the cache key and covers only
+    the modules that determine simulation results.  Not cached: a bench
+    session reads the tree once per row.
+    """
+    root = Path(root) if root is not None else Path(__file__).resolve().parents[1]
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 class ResultCache:

@@ -12,6 +12,7 @@ The load-bearing guarantees (ISSUE satellite + tentpole contract):
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,6 +310,21 @@ class TestResultCache:
             assert task.fingerprint() != fp
         finally:
             cache_mod._CODE_VERSION = old
+
+    def test_source_version_covers_prediction_code(self, tmp_path):
+        # ledger rows are stamped with source_version(); unlike the cache
+        # key, it must change when prediction or ML code changes
+        import shutil
+
+        import repro
+        from repro.runner.cache import source_version
+
+        copy = tmp_path / "repro"
+        shutil.copytree(Path(repro.__file__).parent, copy)
+        assert source_version(copy) == source_version()
+        harness = copy / "predict" / "harness.py"
+        harness.write_text(harness.read_text() + "\n# edited\n")
+        assert source_version(copy) != source_version()
 
     def test_from_payload_roundtrip(self):
         (r,) = run_sweep(grid_tasks(small_workload(), policies=("fcfs",)))
