@@ -118,13 +118,15 @@ class CrossSystemStudy:
         return evaluate_takeaways(self.traces)
 
     def prediction(self, systems: list[str] | None = None, **kwargs) -> dict[str, ElapsedComparison]:
-        """Use case 1 (Fig 12): elapsed-time runtime prediction."""
+        """Use case 1 (Fig 12): elapsed-time runtime prediction, every
+        system's fits on one worker pool."""
         # the use cases import the prediction and scheduler stacks, which the
         # characterization never needs, so they load on first use
-        from ..predict.harness import run_use_case1
+        from ..predict.harness import compare_elapsed
 
         names = systems or self.systems()
-        return {n: run_use_case1(self.traces[n], **kwargs) for n in names}
+        comparisons = compare_elapsed([self.traces[n] for n in names], **kwargs)
+        return dict(zip(names, comparisons))
 
     def backfilling(
         self, systems: list[str] | None = None, **kwargs

@@ -11,6 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from ..runner.options import add_run_arguments, run_options_from_args
+from ..runner.watchdog import pin_blas_threads
 from . import REGISTRY, experiment_module
 from .common import DEFAULT_DAYS, DEFAULT_SEED
 
@@ -113,6 +114,9 @@ def main(argv: list[str] | None = None) -> int:
     except KeyError as exc:
         print(exc, file=sys.stderr)
         return 2
+    # the experiments' own NumPy work gains nothing from BLAS threads, and
+    # the pools run a process per CPU (docs/PARALLELISM.md)
+    pin_blas_threads()
     try:
         # one ResultCache and one journal for every experiment of the run,
         # so the cache's hit/miss counters can be reported per experiment

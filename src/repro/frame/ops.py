@@ -205,7 +205,10 @@ def violin_from_sorted(
             centre = (edges[:-1] + edges[1:]) / 2
             mode = float(10 ** centre[np.argmax(counts)])
     else:
-        counts, edges = np.histogram(values, bins=min(50, values.size))
+        try:
+            counts, edges = np.histogram(values, bins=min(50, values.size))
+        except ValueError:  # a span too narrow for that many finite bins
+            counts, edges = np.histogram(values, bins=1)
         centre = (edges[:-1] + edges[1:]) / 2
         mode = float(centre[np.argmax(counts)]) if counts.size else float(values[0])
     return ViolinSummary(

@@ -6,6 +6,7 @@ from .harness import (
     ElapsedComparison,
     ModelTiming,
     augment_with_checkpoints,
+    compare_elapsed,
     run_use_case1,
 )
 from .models import EXTRA_MODEL_NAMES, MODEL_NAMES, RuntimePredictor, make_predictor
@@ -19,6 +20,7 @@ __all__ = [
     "MODEL_NAMES",
     "EXTRA_MODEL_NAMES",
     "run_use_case1",
+    "compare_elapsed",
     "ElapsedComparison",
     "ArmResult",
     "ModelTiming",

@@ -14,27 +14,43 @@ Protocol (faithful to §VI-A's fair-comparison setup):
    structure that Fig 11 shows is strongly user-specific.
 5. Metrics: underestimation rate (smaller = better) and mean prediction
    accuracy ``min/max`` (larger = better).
+
+Every model fit is one cell on the runner's supervised worker pool
+(:func:`repro.runner.watchdog.run_watchdog`): the baseline arm fits each
+model once and predicts every threshold's test set, the elapsed arm fits
+once per (model, threshold).  A cell returns only its predictions and
+timings; the parent computes the metrics, so results are bit-identical at
+any worker count (docs/PARALLELISM.md, "Fig 12's fits on the pool").
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from ..ml import prediction_accuracy, underestimation_rate
+from ..runner.options import RunOptions
+from ..runner.watchdog import FailureReport, SweepError, run_watchdog
 from ..traces.schema import Trace
 from .features import PredictionDataset, build_dataset
-from .models import MODEL_NAMES, RuntimePredictor, make_predictor
+from .models import MODEL_NAMES, make_predictor
 
 __all__ = [
     "ArmResult",
     "ModelTiming",
     "ElapsedComparison",
+    "compare_elapsed",
     "run_use_case1",
     "augment_with_checkpoints",
 ]
+
+#: fit seconds per training row on Fig 12's data (microseconds, 2-core
+#: Xeon VM); orders the cells largest first so no long fit starts last
+_FIT_US_PER_ROW = {"xgboost": 65.0, "tobit": 25.0, "mlp": 20.0}
 
 
 @dataclass(frozen=True)
@@ -88,6 +104,12 @@ class ElapsedComparison:
         raise KeyError((model, fraction, arm))
 
 
+def _checkpoints(threshold: float) -> np.ndarray:
+    return np.array(
+        [0.0, threshold / 2.0, threshold, 2.0 * threshold, 4.0 * threshold]
+    )
+
+
 def augment_with_checkpoints(
     train: PredictionDataset, threshold: float
 ) -> tuple[np.ndarray, PredictionDataset]:
@@ -97,13 +119,10 @@ def augment_with_checkpoints(
     being ``{0, T/2, T, 2T, 4T}``.  Returns ``(X_aug, data_aug)`` with rows
     aligned.
     """
-    checkpoints = np.array(
-        [0.0, threshold / 2.0, threshold, 2.0 * threshold, 4.0 * threshold]
-    )
     rows: list[np.ndarray] = []
     masks: list[np.ndarray] = []
     elapsed_vals: list[np.ndarray] = []
-    for cp in checkpoints:
+    for cp in _checkpoints(threshold):
         alive = train.runtime > cp
         if not alive.any():
             continue
@@ -114,7 +133,6 @@ def augment_with_checkpoints(
     X = np.vstack(rows)
     elapsed = np.concatenate(elapsed_vals)
     X_aug = np.hstack([X, np.log1p(elapsed)[:, None]])
-    total_mask = np.concatenate(masks)
     data_aug = PredictionDataset(
         X=X,
         runtime=np.concatenate([train.runtime[m] for m in masks]),
@@ -122,18 +140,49 @@ def augment_with_checkpoints(
         censored=np.concatenate([train.censored[m] for m in masks]),
         user=np.concatenate([train.user[m] for m in masks]),
     )
-    del total_mask
     return X_aug, data_aug
 
 
-def run_use_case1(
-    trace: Trace,
-    fractions: tuple[float, ...] = (0.125, 0.25, 0.5),
-    models: tuple[str, ...] = MODEL_NAMES,
-    train_fraction: float = 0.7,
-    max_jobs: int | None = 20_000,
-) -> ElapsedComparison:
-    """Run the full Fig 12 comparison on one trace."""
+@dataclass(frozen=True)
+class _Split:
+    """One trace's training set and its per-threshold test sets."""
+
+    system: str
+    mean_runtime: float
+    train: PredictionDataset
+    #: ``(fraction, threshold, test)``, thresholds with a nonempty test set
+    tests: list[tuple[float, float, PredictionDataset]]
+
+
+@dataclass(frozen=True)
+class _FitCell:
+    """One model fit: a pool cell.  ``test`` is ``None`` for the baseline
+    arm, else the index of the elapsed arm's threshold in ``_Split.tests``."""
+
+    #: names the cell, and is the fingerprint its result must carry
+    label: str
+    split: int
+    model: str
+    test: int | None
+    cost: float
+
+
+@dataclass(frozen=True)
+class _FitResult:
+    """What a cell sends back: predictions (one array per test set it
+    predicts) and timings, never the fitted predictor."""
+
+    fingerprint: str
+    predictions: list[np.ndarray]
+    fit_seconds: float
+    predict_seconds: float
+    n_train: int
+
+
+def _split(
+    trace: Trace, fractions: tuple[float, ...], train_fraction: float,
+    max_jobs: int | None,
+) -> _Split:
     data = build_dataset(trace)
     if max_jobs is not None and data.n > max_jobs:
         # keep the chronological prefix (cheapest unbiased cut)
@@ -145,86 +194,192 @@ def run_use_case1(
     n_train = int(data.n * train_fraction)
     train = data.subset(np.arange(data.n) < n_train)
     test_all = data.subset(np.arange(data.n) >= n_train)
-
-    cells = []
+    tests = []
     for frac in fractions:
         threshold = frac * mean_rt
         test = test_all.subset(test_all.runtime > threshold)
         if test.n:
-            cells.append((frac, threshold, test))
+            tests.append((frac, threshold, test))
+    return _Split(trace.system.name, mean_rt, train, tests)
 
-    # ---- baseline arm: base features, trained on all history -------------
-    # neither the training set nor the (seeded) model depends on the
-    # threshold, so each model is fitted once and predicts every cell
-    baselines: dict[str, RuntimePredictor] = {}
-    base_fit_s: dict[str, float] = {}
-    base_predict_s = dict.fromkeys(models, 0.0)
-    if cells:
-        for model_name in models:
-            predictor = make_predictor(model_name)
-            t0 = time.perf_counter()
-            predictor.fit(train, train.X)
-            base_fit_s[model_name] = time.perf_counter() - t0
-            baselines[model_name] = predictor
 
+def _cells(index: int, split: _Split, models: tuple[str, ...]) -> list[_FitCell]:
+    """The baseline fit of each model (its training set and seeded model do
+    not depend on the threshold), then one elapsed fit per threshold."""
+    if not split.tests:
+        return []
+    runtime = split.train.runtime
+    cells = []
+    for model in models:
+        per_row = _FIT_US_PER_ROW.get(model, 1.0)
+        cells.append(_FitCell(
+            f"{split.system}/{model}/baseline", index, model, None,
+            per_row * split.train.n,
+        ))
+        for t, (frac, threshold, _) in enumerate(split.tests):
+            rows = sum(int(np.count_nonzero(runtime > cp))
+                       for cp in _checkpoints(threshold))
+            cells.append(_FitCell(
+                f"{split.system}/{model}/elapsed@{frac}", index, model, t,
+                per_row * rows,
+            ))
+    return cells
+
+
+def _fit_cell(splits: list[_Split], cell: _FitCell) -> _FitResult:
+    """Run one cell (in a pool worker)."""
+    split = splits[cell.split]
+    predictor = make_predictor(cell.model)
+    if cell.test is None:
+        data, X = split.train, split.train.X
+    else:
+        _, threshold, test = split.tests[cell.test]
+        X, data = augment_with_checkpoints(split.train, threshold)
+    t0 = time.perf_counter()
+    predictor.fit(data, X)
+    t1 = time.perf_counter()
+    if cell.test is None:
+        predictions = [predictor.predict(test, test.X) for _, _, test in split.tests]
+    else:
+        predictions = [predictor.predict(test, test.with_elapsed(threshold))]
+    t2 = time.perf_counter()
+    return _FitResult(cell.label, predictions, t1 - t0, t2 - t1, data.n)
+
+
+def _run_cells(
+    splits: list[_Split], cells: list[_FitCell], options: RunOptions
+) -> dict[tuple[int, str, int | None], _FitResult]:
+    """Every cell on one pool, largest first; results keyed by
+    ``(split, model, test)``.  A cell that fails terminally is missing
+    under ``on_error="skip"`` and raises :class:`SweepError` under
+    ``"raise"``."""
+    if not cells:
+        return {}
+    if any(cell.model == "tobit" for cell in cells):
+        # Tobit's fit imports these on first use: importing them before the
+        # pool forks saves every worker about 0.5 s of CPU
+        import scipy.optimize  # noqa: F401
+        import scipy.special  # noqa: F401
+    order = sorted(range(len(cells)), key=lambda i: -cells[i].cost)
+    fits: dict[tuple[int, str, int | None], _FitResult] = {}
+    report = FailureReport()
+    gen = run_watchdog(
+        [(i, cells[i], cells[i].label) for i in order],
+        functools.partial(_fit_cell, splits),
+        jobs=min(options.jobs, len(cells)),
+        timeout=options.timeout,
+        retry=options.retry,
+        chaos=options.chaos,
+    )
+    try:
+        for event in gen:
+            if event[0] == "done":
+                cell = cells[event[1]]
+                fits[cell.split, cell.model, cell.test] = event[2]
+            elif event[0] == "retry":
+                report.retries.append(event[2])
+            else:
+                report.failures.append(event[2])
+                if options.on_error == "raise":
+                    raise SweepError(
+                        report, [fits.get((c.split, c.model, c.test)) for c in cells]
+                    )
+    finally:
+        gen.close()
+    return fits
+
+
+def _comparison(
+    index: int, split: _Split, models: tuple[str, ...], fits: dict
+) -> ElapsedComparison:
+    """One trace's results and timings, in the order of the loop over
+    thresholds, then models, then arms."""
     results: list[ArmResult] = []
     timings: list[ModelTiming] = []
-    for frac, threshold, test in cells:
-        for model_name in models:
-            t0 = time.perf_counter()
-            pred_base = baselines[model_name].predict(test, test.X)
-            base_predict_s[model_name] += time.perf_counter() - t0
-
-            # ---- elapsed arm: survival-augmented training ------------------
-            predictor_e = make_predictor(model_name)
-            X_aug, train_aug = augment_with_checkpoints(train, threshold)
-            t0 = time.perf_counter()
-            predictor_e.fit(train_aug, X_aug)
-            t1 = time.perf_counter()
-            pred_elapsed = predictor_e.predict(test, test.with_elapsed(threshold))
-            t2 = time.perf_counter()
-            timings.append(
-                ModelTiming(
-                    model=model_name,
+    for t, (frac, _, test) in enumerate(split.tests):
+        for model in models:
+            base = fits.get((index, model, None))
+            elapsed = fits.get((index, model, t))
+            if elapsed is not None:
+                timings.append(ModelTiming(
+                    model=model,
                     elapsed_fraction=frac,
                     arm="elapsed",
-                    fit_seconds=t1 - t0,
-                    predict_seconds=t2 - t1,
-                    n_train=train_aug.n,
+                    fit_seconds=elapsed.fit_seconds,
+                    predict_seconds=elapsed.predict_seconds,
+                    n_train=elapsed.n_train,
                     n_test=test.n,
-                )
-            )
-
-            for arm, pred in (("baseline", pred_base), ("elapsed", pred_elapsed)):
-                results.append(
-                    ArmResult(
-                        model=model_name,
-                        elapsed_fraction=frac,
-                        arm=arm,
-                        underestimate_rate=underestimation_rate(
-                            test.runtime, pred
-                        ),
-                        avg_accuracy=float(
-                            prediction_accuracy(test.runtime, pred).mean()
-                        ),
-                        n_test=test.n,
-                    )
-                )
-    timings += [
-        ModelTiming(
-            model=model_name,
-            elapsed_fraction=None,
-            arm="baseline",
-            fit_seconds=base_fit_s[model_name],
-            predict_seconds=base_predict_s[model_name],
-            n_train=train.n,
-            n_test=sum(test.n for _, _, test in cells),
-        )
-        for model_name in baselines
-    ]
+                ))
+            for arm, fit, k in (("baseline", base, t), ("elapsed", elapsed, 0)):
+                if fit is None:
+                    continue
+                pred = fit.predictions[k]
+                results.append(ArmResult(
+                    model=model,
+                    elapsed_fraction=frac,
+                    arm=arm,
+                    underestimate_rate=underestimation_rate(test.runtime, pred),
+                    avg_accuracy=float(
+                        prediction_accuracy(test.runtime, pred).mean()
+                    ),
+                    n_test=test.n,
+                ))
+    n_test = sum(test.n for _, _, test in split.tests)
+    for model in models:
+        base = fits.get((index, model, None))
+        if base is not None:
+            timings.append(ModelTiming(
+                model=model,
+                elapsed_fraction=None,
+                arm="baseline",
+                fit_seconds=base.fit_seconds,
+                predict_seconds=base.predict_seconds,
+                n_train=base.n_train,
+                n_test=n_test,
+            ))
     return ElapsedComparison(
-        system=trace.system.name,
-        mean_runtime=mean_rt,
+        system=split.system,
+        mean_runtime=split.mean_runtime,
         results=results,
         timings=timings,
     )
+
+
+def compare_elapsed(
+    traces: Sequence[Trace],
+    fractions: tuple[float, ...] = (0.125, 0.25, 0.5),
+    models: tuple[str, ...] = MODEL_NAMES,
+    train_fraction: float = 0.7,
+    max_jobs: int | None = 20_000,
+    jobs: int | None = None,
+    options: RunOptions | None = None,
+) -> list[ElapsedComparison]:
+    """Run the Fig 12 comparison on each trace, all fits on one pool.
+
+    ``options`` (a :class:`repro.runner.RunOptions`; ``jobs`` overrides
+    its field) sets the pool's ``jobs``, ``timeout``, ``on_error``,
+    ``retry`` and ``chaos``; its ``cache``, ``journal`` and ``perf`` do not
+    apply.  Under ``on_error="skip"`` a fit that failed leaves its rows out
+    of ``results`` and ``timings``.
+    """
+    options = RunOptions.resolve(options, jobs=jobs)
+    splits = [_split(t, fractions, train_fraction, max_jobs) for t in traces]
+    cells = [c for i, split in enumerate(splits) for c in _cells(i, split, models)]
+    fits = _run_cells(splits, cells, options)
+    return [_comparison(i, split, models, fits) for i, split in enumerate(splits)]
+
+
+def run_use_case1(
+    trace: Trace,
+    fractions: tuple[float, ...] = (0.125, 0.25, 0.5),
+    models: tuple[str, ...] = MODEL_NAMES,
+    train_fraction: float = 0.7,
+    max_jobs: int | None = 20_000,
+    jobs: int | None = None,
+    options: RunOptions | None = None,
+) -> ElapsedComparison:
+    """Run the full Fig 12 comparison on one trace (:func:`compare_elapsed`)."""
+    (comparison,) = compare_elapsed(
+        [trace], fractions, models, train_fraction, max_jobs, jobs, options
+    )
+    return comparison

@@ -8,7 +8,8 @@ Both command-line interfaces declare the runner flags through
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, replace
+import os
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -24,6 +25,7 @@ __all__ = [
     "ON_ERROR_POLICIES",
     "RunOptions",
     "add_run_arguments",
+    "available_cpus",
     "run_options_from_args",
 ]
 
@@ -31,11 +33,20 @@ __all__ = [
 ON_ERROR_POLICIES = ("raise", "skip", "retry")
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on: the default worker count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class RunOptions:
     """Execution settings of a sweep (docs/PARALLELISM.md).
 
-    * ``jobs`` — worker processes (every cell runs in a worker, even at 1);
+    * ``jobs`` — worker processes (every cell runs in a worker, even at 1;
+      default :func:`available_cpus`);
     * ``cache`` — a :class:`ResultCache` or its directory;
     * ``timeout`` — per-cell wall-clock limit in seconds (``None``: none);
       a cell past it is killed and classified as a transient ``timeout``;
@@ -58,7 +69,7 @@ class RunOptions:
     * ``perf`` — a :class:`repro.obs.perf.PerfConfig` tracing the sweep.
     """
 
-    jobs: int = 1
+    jobs: int = field(default_factory=available_cpus)
     cache: ResultCache | str | Path | None = None
     timeout: float | None = None
     on_error: str = "raise"
@@ -99,9 +110,10 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> None:
     runner.add_argument(
         "--jobs",
         type=int,
-        default=1,
-        help="worker processes for sweeps (results are bit-identical at "
-        "any worker count)",
+        default=available_cpus(),
+        help="worker processes for sweeps and Fig 12's model fits (default: "
+        "the CPUs available to this process, %(default)s here; results are "
+        "bit-identical at any worker count)",
     )
     runner.add_argument(
         "--cache-dir",

@@ -448,8 +448,8 @@ def run_sweep(
     carry their own seeds.
 
     ``options`` is a :class:`RunOptions` (default ``RunOptions()``:
-    one worker, no cache, no timeout, abort on the first terminal
-    failure); ``**fields`` override its fields by name, so
+    one worker per available CPU, no cache, no timeout, abort on the
+    first terminal failure); ``**fields`` override its fields by name, so
     ``run_sweep(tasks, jobs=4, cache=dir)`` works without building one.
     Every miss runs in a worker process of the supervised pool
     (:func:`repro.runner.watchdog.run_watchdog`), even at ``jobs=1``, so

@@ -7,7 +7,9 @@ Every :func:`repro.runner.run_sweep` runs its cache misses through
   each talking to the parent over its own duplex pipe and serving cell
   after cell; a worker is replaced only when it crashes or is killed
   for a timeout, so one in-flight cell is always attributable to
-  exactly one process;
+  exactly one process.  Each worker first pins every loaded OpenBLAS to
+  one thread (:func:`pin_blas_threads`): the pool already runs one
+  process per CPU;
 * a **supervisor loop** in the parent that blocks on the worker pipes
   and process sentinels (``multiprocessing.connection.wait``) until the
   nearest cell deadline or retry backoff: a worker that dies without
@@ -36,6 +38,7 @@ in ``tests/test_chaos.py``).
 
 from __future__ import annotations
 
+import ctypes
 import heapq
 import multiprocessing
 import os
@@ -57,8 +60,53 @@ __all__ = [
     "SweepError",
     "RetryPolicy",
     "is_transient",
+    "pin_blas_threads",
     "run_watchdog",
 ]
+
+#: OpenBLAS thread-count setters: the builds bundled with NumPy (64-bit
+#: integers) and SciPy, then a system OpenBLAS of either kind
+_BLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _loaded_openblas() -> list[tuple[ctypes.CDLL, str]]:
+    """``(library, thread-count setter name)`` of each OpenBLAS loaded in
+    this process; empty where the process map cannot be read (not Linux)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            fields = [line.split(None, 5) for line in fh]
+    except OSError:
+        return []
+    paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]}
+    found = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        name = next((n for n in _BLAS_SETTERS if hasattr(lib, n)), None)
+        if name is not None:
+            found.append((lib, name))
+    return found
+
+
+def pin_blas_threads() -> None:
+    """Set every OpenBLAS loaded in this process to one thread.
+
+    The pool runs one worker per CPU by default, so BLAS threads of their
+    own only contend for the same cores (docs/PARALLELISM.md, "Fig 12's
+    fits on the pool").  Libraries loaded later keep their own setting.
+    """
+    for lib, name in _loaded_openblas():
+        setter = getattr(lib, name)
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
 
 
 def is_transient(exc: BaseException) -> bool:
@@ -227,6 +275,7 @@ def _worker_main(conn, execute, chaos) -> None:
     way out; an orphaned worker (parent gone) exits on its own.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    pin_blas_threads()
     name = multiprocessing.current_process().name
     parent = os.getppid()
     while True:

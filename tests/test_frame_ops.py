@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -177,6 +177,7 @@ class TestViolin:
             elements=st.one_of(finite_floats, st.sampled_from([0.0, 1.0, 1.0, 60.0])),
         )
     )
+    @example(np.array([5e-324, 0.0]))  # a span narrower than two bins
     @settings(max_examples=200)
     def test_quantiles_byte_equal_to_unsorted_quantile(self, values):
         # +0.0 folds -0.0 into 0.0: which signed zero a selection returns

@@ -1,5 +1,7 @@
 """Tests for the runtime-prediction use case (features, models, harness)."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -162,10 +164,13 @@ class TestHarness:
             cmp.cell("lr", 0.9, "baseline")
 
     def test_baseline_fitted_once_per_model(self, theta_trace, monkeypatch):
+        import multiprocessing
+
         import repro.predict.harness as harness
 
         n_base = len(FEATURE_NAMES)
-        fits = {"baseline": 0, "elapsed": 0}
+        # the fits run in forked pool workers: count in shared memory
+        fits = multiprocessing.Array("i", [0, 0])  # baseline, elapsed
 
         def counting(name):
             predictor = make_predictor(name)
@@ -173,7 +178,8 @@ class TestHarness:
 
             def counted(data, X):
                 # the elapsed arm's design matrix carries one extra column
-                fits["baseline" if X.shape[1] == n_base else "elapsed"] += 1
+                with fits.get_lock():
+                    fits[0 if X.shape[1] == n_base else 1] += 1
                 return fit(data, X)
 
             predictor.fit = counted
@@ -181,7 +187,7 @@ class TestHarness:
 
         monkeypatch.setattr(harness, "make_predictor", counting)
         cmp = run_use_case1(theta_trace, max_jobs=300)
-        assert fits == {"baseline": 5, "elapsed": 15}
+        assert list(fits) == [5, 15]
         baseline_rows = [t for t in cmp.timings if t.arm == "baseline"]
         assert sorted(t.model for t in baseline_rows) == sorted(MODEL_NAMES)
         assert all(t.elapsed_fraction is None for t in baseline_rows)
@@ -206,6 +212,79 @@ class TestHarness:
         assert tr.num_jobs < 50
         with pytest.raises(ValueError, match="too small"):
             run_use_case1(tr)
+
+
+class TestFitPool:
+    """Fig 12's fits run as cells on the runner's supervised pool."""
+
+    def test_results_equal_at_one_and_two_workers(self, theta_trace):
+        kwargs = dict(fractions=(0.125, 0.5), models=MODEL_NAMES, max_jobs=800)
+        one = run_use_case1(theta_trace, jobs=1, **kwargs)
+        two = run_use_case1(theta_trace, jobs=2, **kwargs)
+        assert one.results == two.results
+        assert len(one.results) == 2 * 2 * len(MODEL_NAMES)
+
+        def sizes(cmp):
+            return [(t.model, t.elapsed_fraction, t.arm, t.n_train, t.n_test)
+                    for t in cmp.timings]
+
+        assert sizes(one) == sizes(two)
+
+    def test_worker_crashes_heal_to_the_same_results(self, theta_trace):
+        from repro.runner import RetryPolicy, RunOptions
+        from repro.testkit import ChaosConfig
+
+        kwargs = dict(fractions=(0.25,), models=("last2", "lr"), max_jobs=600)
+        clean = run_use_case1(theta_trace, jobs=1, **kwargs)
+        labels = [
+            f"Theta/{model}/{arm}"
+            for model in kwargs["models"]
+            for arm in ("baseline", "elapsed@0.25")
+        ]
+        retry = RetryPolicy(max_attempts=4, backoff_base=0.0)
+        # a seed that crashes at least one first attempt, and lets every
+        # cell succeed within the retry budget
+        chaos = next(
+            cfg
+            for seed in range(64)
+            for cfg in (ChaosConfig(crash_p=0.4, seed=seed),)
+            if any(cfg.fault_for(label, 1) for label in labels)
+            and all(
+                any(cfg.fault_for(label, a) is None for a in range(1, 5))
+                for label in labels
+            )
+        )
+        options = RunOptions(jobs=2, on_error="retry", retry=retry, chaos=chaos)
+        healed = run_use_case1(theta_trace, options=options, **kwargs)
+        assert healed.results == clean.results
+
+    def test_worker_reads_one_blas_thread(self):
+        from repro.runner.watchdog import _loaded_openblas, run_watchdog
+
+        if not _loaded_openblas():
+            pytest.skip("no OpenBLAS thread-count symbol in this process")
+        probe = types.SimpleNamespace(label="probe", fingerprint="probe")
+        gen = run_watchdog([(0, probe, "probe")], _blas_threads, jobs=1)
+        try:
+            (event,) = list(gen)
+        finally:
+            gen.close()
+        assert event[0] == "done"
+        assert event[2].threads and set(event[2].threads) == {1}
+
+
+def _blas_threads(task):
+    """Thread count of each OpenBLAS loaded in this (worker) process."""
+    import ctypes
+
+    from repro.runner.watchdog import _loaded_openblas
+
+    threads = []
+    for lib, setter in _loaded_openblas():
+        getter = getattr(lib, setter.replace("_set_", "_get_"))
+        getter.restype = ctypes.c_int
+        threads.append(getter())
+    return types.SimpleNamespace(fingerprint=task.fingerprint, threads=threads)
 
 
 class TestExtraPredictors:

@@ -338,14 +338,15 @@ class TestSweepIntegration:
     def test_registry_logs_every_cell(self, tmp_path):
         tasks = grid_tasks(small_workload())
         with RunRegistry(tmp_path / "runs.jsonl") as reg:
-            results = run_sweep(tasks, registry=reg)
+            # one worker completes the cells in task order
+            results = run_sweep(tasks, registry=reg, jobs=1)
         recs = reg.records()
         assert len(recs) == len(tasks)
         assert [r["label"] for r in recs] == [t.label for t in tasks]
         assert [r["seq"] for r in recs] == list(range(len(tasks)))
         assert all(r["wall_seconds"] > 0 for r in recs)
         assert all(not r["cached"] for r in recs)
-        # every cell ran in a child worker, even at the default jobs=1
+        # every cell ran in a child worker, even at jobs=1
         assert all(r["worker"] not in ("", "MainProcess") for r in recs)
         # metrics travel with the record (minable without the cache)
         assert recs[0]["metrics"] == results[0].metrics
@@ -387,7 +388,10 @@ class TestSweepIntegration:
         capture = Capture()
         run_sweep(tasks, progress=capture)
         n = len(tasks)
-        assert capture.calls[0] == ("start", n, 0, 1)
+        # the default worker count is the CPUs available to the process
+        from repro.runner.options import available_cpus
+
+        assert capture.calls[0] == ("start", n, 0, available_cpus())
         assert capture.calls[-1] == ("end", n)
         dones = [c for c in capture.calls if c[0] == "done"]
         assert [c[2] for c in dones] == list(range(1, n + 1))
