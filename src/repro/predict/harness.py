@@ -257,7 +257,7 @@ def _run_cells(
         return {}
     if any(cell.model == "tobit" for cell in cells):
         # Tobit's fit imports these on first use: importing them before the
-        # pool forks saves every worker about 0.5 s of CPU
+        # pool forks saves every worker about 0.4 s of CPU
         import scipy.optimize  # noqa: F401
         import scipy.special  # noqa: F401
     order = sorted(range(len(cells)), key=lambda i: -cells[i].cost)
