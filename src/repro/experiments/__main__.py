@@ -139,19 +139,22 @@ def main(argv: list[str] | None = None) -> int:
             if args.save:
                 txt, js = result.save(args.save)
                 print(f"(saved {txt} and {js})")
-            if cache is not None and "options" in params:
+            # only the sweeps use the cache; Fig 12's fits are not cached
+            if cache is not None and (
+                (cache.hits, cache.misses) != (hits0, misses0)
+            ):
                 print(
                     f"(cache {args.cache_dir}: {cache.hits - hits0} hit(s), "
                     f"{cache.misses - misses0} miss(es))"
                 )
             if perf is not None:
-                if "options" not in params:
+                if "options" not in params or perf.trace is None:
                     print(
                         f"({exp_id} does not support performance tracing; "
                         "--trace-out/--stacks-out ignored)",
                         file=sys.stderr,
                     )
-                elif perf.trace is not None:
+                else:
                     written = [
                         str(p) for p in (args.trace_out, args.stacks_out) if p
                     ]

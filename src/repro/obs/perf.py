@@ -30,11 +30,14 @@ fingerprints (docs/OBSERVABILITY.md, "Performance tracing").
 
 from __future__ import annotations
 
+import dataclasses
+import multiprocessing
 import sys
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .export_chrome import (
     ChromeTraceExporter,
@@ -42,7 +45,7 @@ from .export_chrome import (
     format_collapsed,
 )
 
-__all__ = ["SamplingProfiler", "PerfConfig", "SweepTrace"]
+__all__ = ["SamplingProfiler", "PerfConfig", "SweepTrace", "run_traced"]
 
 
 class SamplingProfiler:
@@ -306,3 +309,58 @@ class SweepTrace:
             self.write_trace(config.trace_out)
         if config.stacks_out is not None:
             self.write_stacks(config.stacks_out)
+
+
+def _cell_payload(prof, sampler, metrics) -> dict:
+    """Assemble one cell's perf sidecar (force-closes open spans)."""
+    payload: dict = {"profile": prof.to_payload()}
+    if sampler is not None:
+        payload["sampler"] = sampler.to_payload()
+    if metrics is not None:
+        payload["metrics"] = metrics.to_dict()
+    return payload
+
+
+def run_traced(config: PerfConfig, fn: Callable, label: str, **tags):
+    """Run one pool cell, ``fn(profiler, metrics)``, traced (worker side).
+
+    The cell runs inside a ``cell`` span (tagged ``label`` and ``tags``)
+    of a :class:`~repro.obs.profiling.Profiler` named after this process,
+    next to a :class:`SamplingProfiler` and a
+    :class:`~repro.obs.metrics.Metrics` registry when ``config`` asks for
+    them (``metrics`` is ``None`` otherwise).  ``fn`` returns a dataclass
+    with a ``perf`` field; the serialized payloads ride back on it — pure
+    observation, the cell's output is bit-identical either way.  If ``fn``
+    raises, the partial span tree is attached to the exception as
+    ``perf_payload`` so the watchdog can ship it to the parent instead of
+    dropping the timing data with the traceback.
+    """
+    from .profiling import Profiler
+
+    prof = Profiler(
+        worker=multiprocessing.current_process().name, fine=config.fine_spans
+    )
+    sampler = None
+    if config.sampler_hz > 0:
+        sampler = SamplingProfiler(hz=config.sampler_hz).start()
+    metrics = None
+    if config.collect_metrics:
+        from .metrics import Metrics
+
+        metrics = Metrics()
+    try:
+        with prof.span("cell", label=label, **tags):
+            result = fn(prof, metrics)
+    except BaseException as exc:
+        if sampler is not None:
+            sampler.stop()
+        try:
+            exc.perf_payload = _cell_payload(prof, sampler, metrics)
+        except Exception:  # pragma: no cover - exotic exception classes
+            pass
+        raise
+    if sampler is not None:
+        sampler.stop()
+    return dataclasses.replace(
+        result, perf=_cell_payload(prof, sampler, metrics)
+    )

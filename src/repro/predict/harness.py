@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -47,10 +48,6 @@ __all__ = [
     "run_use_case1",
     "augment_with_checkpoints",
 ]
-
-#: fit seconds per training row on Fig 12's data (microseconds, 2-core
-#: Xeon VM); orders the cells largest first so no long fit starts last
-_FIT_US_PER_ROW = {"xgboost": 65.0, "tobit": 25.0, "mlp": 20.0}
 
 
 @dataclass(frozen=True)
@@ -164,7 +161,8 @@ class _FitCell:
     split: int
     model: str
     test: int | None
-    cost: float
+    #: training rows: the pool sends the largest cells out first
+    rows: int
 
 
 @dataclass(frozen=True)
@@ -177,6 +175,8 @@ class _FitResult:
     fit_seconds: float
     predict_seconds: float
     n_train: int
+    #: span tree of a traced cell (``RunOptions.perf``), else ``None``
+    perf: dict | None = None
 
 
 def _split(
@@ -211,39 +211,60 @@ def _cells(index: int, split: _Split, models: tuple[str, ...]) -> list[_FitCell]
     runtime = split.train.runtime
     cells = []
     for model in models:
-        per_row = _FIT_US_PER_ROW.get(model, 1.0)
         cells.append(_FitCell(
             f"{split.system}/{model}/baseline", index, model, None,
-            per_row * split.train.n,
+            split.train.n,
         ))
         for t, (frac, threshold, _) in enumerate(split.tests):
             rows = sum(int(np.count_nonzero(runtime > cp))
                        for cp in _checkpoints(threshold))
             cells.append(_FitCell(
-                f"{split.system}/{model}/elapsed@{frac}", index, model, t,
-                per_row * rows,
+                f"{split.system}/{model}/elapsed@{frac}", index, model, t, rows,
             ))
     return cells
 
 
-def _fit_cell(splits: list[_Split], cell: _FitCell) -> _FitResult:
-    """Run one cell (in a pool worker)."""
-    split = splits[cell.split]
+def _untraced(name: str, **tags):
+    return nullcontext()
+
+
+def _fit(split: _Split, cell: _FitCell, span=_untraced) -> _FitResult:
+    """Fit and predict one cell; ``span`` is a profiler's ``span`` method."""
     predictor = make_predictor(cell.model)
     if cell.test is None:
         data, X = split.train, split.train.X
     else:
         _, threshold, test = split.tests[cell.test]
-        X, data = augment_with_checkpoints(split.train, threshold)
+        with span("augment"):
+            X, data = augment_with_checkpoints(split.train, threshold)
     t0 = time.perf_counter()
-    predictor.fit(data, X)
+    with span("fit", model=cell.model, rows=data.n):
+        predictor.fit(data, X)
     t1 = time.perf_counter()
-    if cell.test is None:
-        predictions = [predictor.predict(test, test.X) for _, _, test in split.tests]
-    else:
-        predictions = [predictor.predict(test, test.with_elapsed(threshold))]
+    with span("predict", model=cell.model):
+        if cell.test is None:
+            predictions = [
+                predictor.predict(test, test.X) for _, _, test in split.tests
+            ]
+        else:
+            predictions = [predictor.predict(test, test.with_elapsed(threshold))]
     t2 = time.perf_counter()
     return _FitResult(cell.label, predictions, t1 - t0, t2 - t1, data.n)
+
+
+def _fit_cell(splits: list[_Split], cell: _FitCell, perf=None) -> _FitResult:
+    """Run one cell (in a pool worker).  Under a
+    :class:`repro.obs.perf.PerfConfig` its augment, fit and predict spans
+    ride back on ``_FitResult.perf``."""
+    split = splits[cell.split]
+    if perf is None:
+        return _fit(split, cell)
+
+    from ..obs.perf import run_traced
+
+    return run_traced(
+        perf, lambda prof, _: _fit(split, cell, prof.span), cell.label
+    )
 
 
 def _run_cells(
@@ -252,7 +273,10 @@ def _run_cells(
     """Every cell on one pool, largest first; results keyed by
     ``(split, model, test)``.  A cell that fails terminally is missing
     under ``on_error="skip"`` and raises :class:`SweepError` under
-    ``"raise"``."""
+    ``"raise"``.  Under ``options.perf`` each cell's spans, and each retry
+    and failure, are added to the config's
+    :class:`~repro.obs.perf.SweepTrace`, whose outputs are rewritten when
+    the pool ends (as :func:`repro.runner.run_sweep` does)."""
     if not cells:
         return {}
     if any(cell.model == "tobit" for cell in cells):
@@ -260,32 +284,54 @@ def _run_cells(
         # pool forks saves every worker about 0.4 s of CPU
         import scipy.optimize  # noqa: F401
         import scipy.special  # noqa: F401
-    order = sorted(range(len(cells)), key=lambda i: -cells[i].cost)
+    perf, trace = options.perf, None
+    execute = functools.partial(_fit_cell, splits)
+    if perf is not None:
+        from ..obs.perf import SweepTrace
+
+        if perf.trace is None:
+            perf.trace = SweepTrace()
+        trace = perf.trace
+        execute = functools.partial(execute, perf=perf.worker_config())
+    order = sorted(range(len(cells)), key=lambda i: -cells[i].rows)
     fits: dict[tuple[int, str, int | None], _FitResult] = {}
     report = FailureReport()
     gen = run_watchdog(
         [(i, cells[i], cells[i].label) for i in order],
-        functools.partial(_fit_cell, splits),
+        execute,
         jobs=min(options.jobs, len(cells)),
         timeout=options.timeout,
         retry=options.retry,
         chaos=options.chaos,
     )
     try:
-        for event in gen:
-            if event[0] == "done":
-                cell = cells[event[1]]
-                fits[cell.split, cell.model, cell.test] = event[2]
-            elif event[0] == "retry":
-                report.retries.append(event[2])
-            else:
-                report.failures.append(event[2])
-                if options.on_error == "raise":
-                    raise SweepError(
-                        report, [fits.get((c.split, c.model, c.test)) for c in cells]
-                    )
+        for kind, i, res, *_ in gen:
+            cell = cells[i]
+            if kind == "done":
+                fits[cell.split, cell.model, cell.test] = res
+                if trace is not None and res.perf is not None:
+                    trace.add_cell(cell.label, res.perf)
+                continue
+            # res is the attempt's TaskFailure
+            if trace is not None:
+                trace.add_event(
+                    "retry" if kind == "retry" else "failed", cell.label,
+                    failure_kind=res.kind, attempt=res.attempt,
+                )
+                if res.perf is not None:
+                    trace.add_cell(cell.label, res.perf, failed=True)
+            if kind == "retry":
+                report.retries.append(res)
+                continue
+            report.failures.append(res)
+            if options.on_error == "raise":
+                raise SweepError(
+                    report, [fits.get((c.split, c.model, c.test)) for c in cells]
+                )
     finally:
         gen.close()
+        if trace is not None:
+            trace.flush(perf)
     return fits
 
 
@@ -358,8 +404,9 @@ def compare_elapsed(
 
     ``options`` (a :class:`repro.runner.RunOptions`; ``jobs`` overrides
     its field) sets the pool's ``jobs``, ``timeout``, ``on_error``,
-    ``retry`` and ``chaos``; its ``cache``, ``journal`` and ``perf`` do not
-    apply.  Under ``on_error="skip"`` a fit that failed leaves its rows out
+    ``retry``, ``chaos`` and ``perf`` (each fit a traced cell); its
+    ``cache`` and ``journal`` do not apply: fits are neither cached nor
+    journaled.  Under ``on_error="skip"`` a fit that failed leaves its rows out
     of ``results`` and ``timings``.
     """
     options = RunOptions.resolve(options, jobs=jobs)

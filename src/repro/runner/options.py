@@ -119,7 +119,8 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> None:
         "--cache-dir",
         type=Path,
         default=None,
-        help="on-disk result cache; entries live at "
+        help="on-disk result cache of sweep cells (Fig 12's model fits are "
+        "not cached); entries live at "
         "<cache-dir>/<2-hex-prefix>/<sha256-fingerprint>.json and are "
         "invalidated automatically when engine code changes",
     )
@@ -168,8 +169,9 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> None:
         type=Path,
         default=None,
         metavar="PATH",
-        help="append-only journal of completed cells; an interrupted "
-        "sweep re-run with --resume replays them without recomputing",
+        help="append-only journal of completed sweep cells (Fig 12's model "
+        "fits are not journaled); an interrupted sweep re-run with --resume "
+        "replays them without recomputing",
     )
     crash.add_argument(
         "--resume",

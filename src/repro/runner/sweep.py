@@ -27,7 +27,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-import multiprocessing
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -272,61 +271,24 @@ def _run_cell(task: SimTask, profiler=None, metrics=None) -> TaskResult:
     )
 
 
-def _perf_payload(prof, sampler, metrics) -> dict:
-    """Assemble one cell's perf sidecar (force-closes open spans)."""
-    payload: dict = {"profile": prof.to_payload()}
-    if sampler is not None:
-        payload["sampler"] = sampler.to_payload()
-    if metrics is not None:
-        payload["metrics"] = metrics.to_dict()
-    return payload
-
-
 def _execute_task(task: SimTask, perf: "PerfConfig | None" = None) -> TaskResult:
     """Run one cell to completion (worker-side entry point).
 
-    With ``perf`` set, the cell runs under a span :class:`Profiler` (and
-    optionally a :class:`~repro.obs.perf.SamplingProfiler` / a
-    :class:`~repro.obs.metrics.Metrics` registry) whose serialized
-    payloads ride back on ``TaskResult.perf`` — pure observation, the
-    simulation output is bit-identical either way.  If the cell raises,
-    the partial span tree is attached to the exception as
-    ``perf_payload`` so the watchdog can ship it to the parent instead of
-    dropping the timing data with the traceback.
+    With ``perf`` set, the cell runs under
+    :func:`repro.obs.perf.run_traced`: its span tree (and sampler stacks
+    and metrics, as ``perf`` asks) ride back on ``TaskResult.perf``, and a
+    raising cell ships its partial tree with the exception.
     """
     if perf is None:
         return _run_cell(task)
 
-    from ..obs.profiling import Profiler
+    from ..obs.perf import run_traced
 
-    prof = Profiler(
-        worker=multiprocessing.current_process().name, fine=perf.fine_spans
-    )
-    sampler = None
-    if perf.sampler_hz > 0:
-        from ..obs.perf import SamplingProfiler
-
-        sampler = SamplingProfiler(hz=perf.sampler_hz).start()
-    metrics = None
-    if perf.collect_metrics:
-        from ..obs.metrics import Metrics
-
-        metrics = Metrics()
-    try:
-        with prof.span("cell", label=task.label, policy=task.policy):
-            result = _run_cell(task, profiler=prof, metrics=metrics)
-    except BaseException as exc:
-        if sampler is not None:
-            sampler.stop()
-        try:
-            exc.perf_payload = _perf_payload(prof, sampler, metrics)
-        except Exception:  # pragma: no cover - exotic exception classes
-            pass
-        raise
-    if sampler is not None:
-        sampler.stop()
-    return dataclasses.replace(
-        result, perf=_perf_payload(prof, sampler, metrics)
+    return run_traced(
+        perf,
+        lambda prof, metrics: _run_cell(task, profiler=prof, metrics=metrics),
+        task.label,
+        policy=task.policy,
     )
 
 

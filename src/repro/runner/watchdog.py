@@ -168,9 +168,10 @@ class TaskFailure:
     or ``"error"`` (worker raised; ``message`` carries ``Type: text``).
     ``transient`` says whether a retry could help; ``attempt`` is 1-based.
     ``perf`` carries the attempt's partial perf sidecar (span tree up to
-    the raise) when the sweep ran under ``run_sweep(perf=)`` and the
-    worker lived long enough to serialize one — timing data from failed
-    attempts lands in the sweep trace instead of dying with the worker.
+    the raise) when the pool's cells ran traced
+    (:func:`repro.obs.perf.run_traced`) and the worker lived long enough
+    to serialize one — timing data from failed attempts lands in the
+    sweep trace instead of dying with the worker.
     """
 
     label: str
@@ -304,8 +305,8 @@ def _worker_main(conn, execute, chaos) -> None:
                 f"{type(exc).__name__}: {exc}",
                 is_transient(exc),
                 name,
-                # partial perf sidecar attached by _execute_task under
-                # run_sweep(perf=): the span tree up to the raise
+                # partial perf sidecar attached by obs.perf.run_traced in
+                # a traced pool: the span tree up to the raise
                 getattr(exc, "perf_payload", None),
             )
         try:

@@ -427,6 +427,41 @@ class TestRunFlagsShared:
         assert experiments_main(argv + ["--resume"]) == 0
 
 
+class TestExperimentsCliFlags:
+    """Which runner flags each experiment of ``python -m repro.experiments``
+    uses, and what it says about the others."""
+
+    def test_fig12_traces_its_fits_and_prints_no_cache_line(
+        self, tmp_path, capsys
+    ):
+        from repro.experiments.__main__ import main as experiments_main
+
+        trace_out = tmp_path / "fig12.json"
+        argv = ["fig12", "--days", "5", "--max-jobs", "300", "--jobs", "2",
+                "--trace-out", str(trace_out),
+                "--cache-dir", str(tmp_path / "cache")]
+        assert experiments_main(argv) == 0
+        captured = capsys.readouterr()
+        assert "does not support performance tracing" not in captured.err
+        assert "(trace: " in captured.out
+        # the fits are not cached: no hit/miss line for them
+        assert "(cache " not in captured.out
+        doc = json.loads(trace_out.read_text())
+        names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
+        assert {"cell", "augment", "fit", "predict"} <= names
+
+    def test_untraceable_experiment_says_the_trace_flags_are_ignored(
+        self, tmp_path, capsys
+    ):
+        from repro.experiments.__main__ import main as experiments_main
+
+        trace_out = tmp_path / "t.json"
+        argv = ["fig1", "--days", "2", "--trace-out", str(trace_out)]
+        assert experiments_main(argv) == 0
+        assert "does not support performance tracing" in capsys.readouterr().err
+        assert not trace_out.exists()
+
+
 class TestCliRunTelemetry:
     def test_run_log_records_every_cell(self, swf_path, tmp_path, capsys):
         log = tmp_path / "runs.jsonl"

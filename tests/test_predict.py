@@ -258,6 +258,30 @@ class TestFitPool:
         healed = run_use_case1(theta_trace, options=options, **kwargs)
         assert healed.results == clean.results
 
+    def test_traced_cells_record_fit_spans_and_change_nothing(self, theta_trace):
+        from repro.obs import PerfConfig
+        from repro.runner import RunOptions
+
+        kwargs = dict(fractions=(0.25,), models=("last2", "lr"), max_jobs=600)
+        clean = run_use_case1(theta_trace, jobs=1, **kwargs)
+        perf = PerfConfig()
+        traced = run_use_case1(
+            theta_trace, options=RunOptions(jobs=2, perf=perf), **kwargs
+        )
+        assert traced.results == clean.results
+        # one traced cell per fit: a baseline and an elapsed one per model
+        assert sorted(cell["label"] for cell in perf.trace.cells) == [
+            f"Theta/{model}/{arm}"
+            for model in ("last2", "lr")
+            for arm in ("baseline", "elapsed@0.25")
+        ]
+        for cell in perf.trace.cells:
+            names = [r["name"] for r in cell["profile"]["spans"]]
+            assert {"cell", "fit", "predict"} <= set(names)
+            assert ("augment" in names) == ("elapsed" in cell["label"])
+        assert 1 <= len(perf.trace.workers()) <= 2
+        assert "MainProcess" not in perf.trace.workers()
+
     def test_worker_reads_one_blas_thread(self):
         from repro.runner.watchdog import _loaded_openblas, run_watchdog
 
